@@ -669,7 +669,7 @@ let bench_timing () =
         Test.make ~name:"optimize-Q8" (Staged.stage (fun () ->
              ignore (Qsens_optimizer.Optimizer.optimize env_same q8 ~costs)));
         Test.make ~name:"worst-case-gtc" (Staged.stage (fun () ->
-             ignore (Framework.worst_case_gtc ~plans ~a:plans.(0) box3)));
+             ignore (Worst_case.gtc_at_full ~plans ~initial:plans.(0) 1000.)));
         Test.make ~name:"least-squares-12x6" (Staged.stage (fun () ->
              ignore (Qsens_linalg.Mat.least_squares mat rhs)));
         Test.make ~name:"simplex-feasibility" (Staged.stage (fun () ->
@@ -1026,8 +1026,8 @@ let bench_parallel () =
 
 (* ------------------------------------------------------------------ *)
 (* Sweep kernel benchmark: the separable-table curve (Worst_case.curve)
-   against the per-delta table rebuild (Worst_case.curve_naive) and the
-   pre-kernel linear-fractional sweep (Worst_case.curve_legacy).  The
+   against the per-delta table rebuild (Qsens_oracle.curve_naive) and the
+   pre-kernel linear-fractional sweep (Worst_case.curve_fractional).  The
    kernel output is checked bit-identical to the rebuild before any
    speedup is reported; the legacy path converges by bisection, so it is
    only required to agree within a relative tolerance. *)
@@ -1054,10 +1054,10 @@ let bench_sweep () =
   in
   let legacy, legacy_t, legacy_mean =
     time_curves (fun () ->
-        Worst_case.curve_legacy ~deltas ~plans ~initial ())
+        Worst_case.curve_fractional ~deltas ~plans ~initial ())
   in
   let naive, naive_t, naive_mean =
-    time_curves (fun () -> Worst_case.curve_naive ~deltas ~plans ~initial ())
+    time_curves (fun () -> Qsens_oracle.curve_naive ~deltas ~plans ~initial ())
   in
   let kernel, kernel_t, kernel_mean =
     time_curves (fun () -> Worst_case.curve ~deltas ~plans ~initial ())
@@ -1133,8 +1133,9 @@ let bench_sweep () =
 (* High-dimension worst case: the branch-and-bound vertex search versus
    the 2^dim exhaustive frontier.  Node counts come straight from
    Sweep.Bnb.eval_with_stats — honest even without --metrics.  --smoke
-   shrinks the sweep for CI and adds a dim-8 bitwise cross-check of
-   curve_pruned against the exhaustive kernel. *)
+   shrinks the sweep for CI and adds a dim-8 bitwise cross-check of the
+   forced branch-and-bound curve (Qsens_oracle.curve_pruned) against the
+   exhaustive kernel. *)
 
 let bench_highdim () =
   heading "High-dimension worst case: branch-and-bound vertex search";
@@ -1158,7 +1159,7 @@ let bench_highdim () =
     in
     let initial = plans.(0) in
     let reference = Worst_case.curve ~deltas ~plans ~initial () in
-    let pruned = Worst_case.curve_pruned ~deltas ~plans ~initial () in
+    let pruned = Qsens_oracle.curve_pruned ~deltas ~plans ~initial () in
     let bits = Int64.bits_of_float in
     List.iter2
       (fun (p : Worst_case.point) (q : Worst_case.point) ->
@@ -1174,8 +1175,8 @@ let bench_highdim () =
                q.delta))
       pruned reference;
     print_endline
-      "dim-8 cross-check: curve_pruned bit-identical to the exhaustive \
-       kernel (gtc and witnesses)"
+      "dim-8 cross-check: forced branch-and-bound curve bit-identical to \
+       the exhaustive kernel (gtc and witnesses)"
   end;
   let rows =
     List.map
@@ -1195,7 +1196,7 @@ let bench_highdim () =
         let (nodes, leaves), best, mean = time_best ~repeats eval_all in
         let _, curve_best, _ =
           time_best ~repeats (fun () ->
-              Worst_case.curve_pruned ~deltas ~plans ~initial ())
+              Qsens_oracle.curve_pruned ~deltas ~plans ~initial ())
         in
         (* What exhaustive enumeration would evaluate for the same
            grid: every pattern of every kept plan at every delta. *)
@@ -1247,306 +1248,22 @@ let bench_highdim () =
 (* ------------------------------------------------------------------ *)
 (* Unboxed-kernel benchmark: the incremental grid evaluator
    (Sweep.eval_grid) and the node-pool branch-and-bound
-   (Sweep.Bnb.eval ~scratch) against faithful replicas of the engines
-   this tree replaced.  The replicas below are kept verbatim from the
-   seed revision so the "before" column measures real history, not a
-   strawman: [Float.fma] vertex values (a C call each without flambda),
-   the numerator vertex value recomputed for every (plan, pattern), a
-   division for every ratio, per-delta spec-array construction and a
-   division in every search node's bound test.
+   (Sweep.Bnb.eval ~scratch), each checked bitwise before it is timed —
+   the grid against per-point eval, the warm-scratch search against a
+   cold one (results and node counts).
 
    Besides time, the part records allocation — minor and major words
    per grid point, via Obs.measure_alloc — and gates on it: the grid
    path must allocate exactly zero minor words per point in steady
-   state, and the node-pool search no more than the seed replica.  The
+   state, and the node-pool search no more than its ceiling below.  The
    gate runs at every size, so `--smoke` (CI) enforces it too. *)
 
-module Seed_replica = struct
-  let vertex ~delta ~inv a b = Float.fma delta a (b *. inv)
-
-  let subset_sums (w : float array) m (out : float array) pos =
-    out.(pos) <- 0.;
-    for i = 0 to m - 1 do
-      let bit = 1 lsl i in
-      for k = bit to (2 * bit) - 1 do
-        out.(pos + k) <- out.(pos + k - bit) +. w.(i)
-      done
-    done
-
-  (* The seed curve evaluator over prebuilt subset-sum tables.  The
-     workload plans are strictly positive, so the degenerate-plan skip
-     and the per-plan-row budget checkpoint (24 calls per delta against
-     ~100k inner iterations) are the only seed lines not replicated. *)
-  let eval ~nv ~mask ~nkept ~(sums : float array) ~(num_sums : float array)
-      ~delta =
-    let inv = 1. /. delta in
-    let best = ref neg_infinity and best_pat = ref (-1) in
-    let pattern_hi = if Float.equal delta 1. then 0 else nv - 1 in
-    for kp = 0 to nkept - 1 do
-      let off = kp * nv in
-      for k = 0 to pattern_hi do
-        let den =
-          vertex ~delta ~inv sums.(off + k) sums.(off + (mask lxor k))
-        in
-        let num = vertex ~delta ~inv num_sums.(k) num_sums.(mask lxor k) in
-        let r = num /. den in
-        if r > !best then begin
-          best := r;
-          best_pat := k
-        end
-      done
-    done;
-    (!best, !best_pat)
-
-  (* --- the seed branch-and-bound, spec records and all --- *)
-
-  type bspec = {
-    dim : int;
-    num_hi : float array;
-    num_lo : float array;
-    den_hi : float array;
-    den_lo : float array;
-    num_bound : float array;
-    num_bound_eq : float array;
-    den_bound : float array;
-    pinned : bool array;
-    identical : bool;
-    leaf : int -> float;
-  }
-
-  let inflate = 1. +. 1e-12
-  let eq_threshold = 1. +. 1e-9
-
-  let leaf_ratio ~delta ~inv ~(wn : float array) ~(wd : float array) k =
-    let an = ref 0. and bn = ref 0. and ad = ref 0. and bd = ref 0. in
-    for i = 0 to Array.length wd - 1 do
-      if k land (1 lsl i) <> 0 then begin
-        an := !an +. wn.(i);
-        ad := !ad +. wd.(i)
-      end
-      else begin
-        bn := !bn +. wn.(i);
-        bd := !bd +. wd.(i)
-      end
-    done;
-    vertex ~delta ~inv !an !bn /. vertex ~delta ~inv !ad !bd
-
-  (* Per-plan search state as the seed [Sweep.Bnb.t] carried it: packed
-     weights and their ascending prefix sums, bitwise [eq]/[pinned]. *)
-  type bnb = {
-    m : int;
-    nkept : int;
-    weights : float array array;
-    num_weights : float array;
-    wsum : float array array;  (* per kept slot, (m+1) prefixes *)
-    nsum : float array;
-    eq : bool array array;
-    bpinned : bool array array;
-    bidentical : bool array;
-  }
-
-  let build_bnb ~plans ~initial ~(center : float array) ~kept =
-    let m = Array.length center in
-    let weights =
-      Array.map
-        (fun p -> Array.init m (fun i -> plans.(p).(i) *. center.(i)))
-        kept
-    in
-    let num_weights = Array.init m (fun i -> initial.(i) *. center.(i)) in
-    let prefix (w : float array) =
-      let out = Array.make (m + 1) 0. in
-      for i = 0 to m - 1 do
-        out.(i + 1) <- out.(i) +. w.(i)
-      done;
-      out
-    in
-    let same_bits a b =
-      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-    in
-    let zero_bits x = Int64.equal (Int64.bits_of_float x) 0L in
-    let eq =
-      Array.map
-        (fun (w : float array) ->
-          Array.init m (fun i -> same_bits w.(i) num_weights.(i)))
-        weights
-    in
-    {
-      m;
-      nkept = Array.length kept;
-      weights;
-      num_weights;
-      wsum = Array.map prefix weights;
-      nsum = prefix num_weights;
-      eq;
-      bpinned =
-        Array.map
-          (fun (w : float array) ->
-            Array.init m (fun i ->
-                zero_bits w.(i) && zero_bits num_weights.(i)))
-          weights;
-      bidentical = Array.map (fun e -> Array.for_all Fun.id e) eq;
-    }
-
-  (* Seed spec construction: seven fresh arrays per (plan, delta). *)
-  let spec_of t ~delta ~inv s =
-    let m = t.m in
-    let wd = t.weights.(s) and wn = t.num_weights in
-    let eq = t.eq.(s) in
-    let num_hi = Array.make m 0.
-    and num_lo = Array.make m 0.
-    and den_hi = Array.make m 0.
-    and den_lo = Array.make m 0.
-    and num_bound = Array.make m 0.
-    and num_bound_eq = Array.make m 0.
-    and den_bound = Array.make m 0. in
-    let acc_eq = ref 0. in
-    for i = 0 to m - 1 do
-      num_hi.(i) <- delta *. wn.(i);
-      num_lo.(i) <- wn.(i) *. inv;
-      den_hi.(i) <- delta *. wd.(i);
-      den_lo.(i) <- wd.(i) *. inv;
-      num_bound.(i) <- delta *. t.nsum.(i + 1);
-      den_bound.(i) <- inv *. t.wsum.(s).(i + 1);
-      acc_eq := !acc_eq +. (if eq.(i) then wn.(i) *. inv else delta *. wn.(i));
-      num_bound_eq.(i) <- !acc_eq
-    done;
-    {
-      dim = m;
-      num_hi;
-      num_lo;
-      den_hi;
-      den_lo;
-      num_bound;
-      num_bound_eq;
-      den_bound;
-      pinned = t.bpinned.(s);
-      identical = t.bidentical.(s);
-      leaf = (fun k -> leaf_ratio ~delta ~inv ~wn ~wd k);
-    }
-
-  (* Dinkelbach warm start, verbatim from the seed. *)
-  let greedy_pattern s lambda =
-    let k = ref 0 in
-    for i = 0 to s.dim - 1 do
-      if
-        s.num_hi.(i) -. (lambda *. s.den_hi.(i))
-        > s.num_lo.(i) -. (lambda *. s.den_lo.(i))
-      then k := !k lor (1 lsl i)
-    done;
-    !k
-
-  let seed_value s =
-    let best = ref neg_infinity in
-    let lambda = ref (s.leaf 0) in
-    if Float.is_finite !lambda && !lambda > 0. then best := !lambda
-    else lambda := 1.;
-    (try
-       for _ = 1 to 8 do
-         let k = greedy_pattern s !lambda in
-         let v = s.leaf k in
-         if Float.equal v infinity then begin
-           best := Float.max !best Float.max_float;
-           raise Exit
-         end;
-         if Float.is_finite v && v > !best then best := v;
-         if Float.is_nan v || v <= !lambda then raise Exit;
-         lambda := v
-       done
-     with Exit -> ());
-    !best
-
-  let shared_seed specs =
-    let v =
-      Array.fold_left (fun acc s -> Float.max acc (seed_value s)) neg_infinity
-        specs
-    in
-    if Float.is_finite v && v > 0. then
-      Float.min (v *. (1. -. 1e-12)) (Float.pred v)
-    else neg_infinity
-
-  (* The seed descent: recursive, a division per bound test, and the
-     cross-module [Budget.spend_opt] checkpoint at every node — the
-     per-node costs the node-pool engine removed. *)
-  let descend s ~si ~nodes ~leaves ~best ~best_pat ~best_spec =
-    let rec node depth pattern pnum pden =
-      Qsens_budget.Budget.spend_opt None ~who:"bench-seed-bnb" 1;
-      incr nodes;
-      if depth < 0 then begin
-        incr leaves;
-        let v = s.leaf pattern in
-        if v > !best then begin
-          best := v;
-          best_pat := pattern;
-          best_spec := si
-        end
-      end
-      else begin
-        let nb =
-          if !best > eq_threshold then s.num_bound_eq.(depth)
-          else s.num_bound.(depth)
-        in
-        let ub = (pnum +. nb) /. (pden +. s.den_bound.(depth)) in
-        if ub *. inflate <= !best then ()
-        else if s.pinned.(depth) then
-          node (depth - 1) pattern
-            (pnum +. s.num_lo.(depth))
-            (pden +. s.den_lo.(depth))
-        else begin
-          node (depth - 1) pattern
-            (pnum +. s.num_lo.(depth))
-            (pden +. s.den_lo.(depth));
-          node (depth - 1)
-            (pattern lor (1 lsl depth))
-            (pnum +. s.num_hi.(depth))
-            (pden +. s.den_hi.(depth))
-        end
-      end
-    in
-    node (s.dim - 1) 0 0. 0.
-
-  let bnb_eval t ~delta =
-    let inv = 1. /. delta in
-    if Float.equal delta 1. then begin
-      let best = ref neg_infinity and best_pat = ref (-1) in
-      for s = 0 to t.nkept - 1 do
-        let r =
-          leaf_ratio ~delta ~inv ~wn:t.num_weights ~wd:t.weights.(s) 0
-        in
-        if r > !best then begin
-          best := r;
-          best_pat := 0
-        end
-      done;
-      (!best, !best_pat, t.nkept, t.nkept)
-    end
-    else begin
-      let specs = ref [] in
-      for s = t.nkept - 1 downto 0 do
-        specs := spec_of t ~delta ~inv s :: !specs
-      done;
-      let specs = Array.of_list !specs in
-      let seed = shared_seed specs in
-      let nodes = ref 0 and leaves = ref 0 in
-      let best = ref seed and best_pat = ref (-1) and best_spec = ref (-1) in
-      Array.iteri
-        (fun si s ->
-          if s.identical || s.dim = 0 then begin
-            Qsens_budget.Budget.spend_opt None ~who:"bench-seed-bnb" 1;
-            incr nodes;
-            incr leaves;
-            let v = s.leaf 0 in
-            if v > !best then begin
-              best := v;
-              best_pat := 0;
-              best_spec := si
-            end
-          end
-          else descend s ~si ~nodes ~leaves ~best ~best_pat ~best_spec)
-        specs;
-      ignore !best_spec;
-      (!best, !best_pat, !nodes, !leaves)
-    end
-end
+(* Steady-state minor words per 17-point grid of the node-pool search
+   (572.18 and 172.41 words per point), as measured when this absolute
+   ceiling replaced a comparison against replicas of the seed-revision
+   engines: the result pair and per-delta bookkeeping, nothing per
+   node.  The gate fails on any increase. *)
+let bnb_minor_words_per_grid ~smoke = if smoke then 2931 else 9727
 
 (* Interleaved best-of: alternate the paths round-robin within every
    round and keep per-path minima, so thermal or scheduler drift over
@@ -1583,40 +1300,11 @@ let bench_kernel () =
     Array.init plan_count (fun _ ->
         Array.init dim (fun _ -> 0.1 +. Random.State.float st 9.9))
   in
-  let check_close ~what ~before:(vb, pb) ~after:(va, pa) ~delta =
-    (* The replica computes through Float.fma, the kernels through the
-       two-rounding mul/add — values agree to a few ulps, not bitwise;
-       the argmax vertex must agree exactly (random continuous data has
-       no cross-pattern ties). *)
-    let tol = 1e-9 *. Float.max 1. (Float.abs vb) in
-    if Float.abs (va -. vb) > tol || pa <> pb then
-      failwith
-        (Printf.sprintf
-           "kernel %s: seed replica (%.17g, %d) vs kernel (%.17g, %d) at \
-            delta %g"
-           what vb pb va pa delta)
-  in
+  let bits = Int64.bits_of_float in
   (* --- workload 1: the full-grid curve, exhaustive tables --- *)
   let plans = random_plans curve_dim in
-  let initial = plans.(0) in
   let center = Qsens_linalg.Vec.make curve_dim 1. in
-  let sweep = Sweep.build ~plans ~initial ~center () in
-  let nv = 1 lsl curve_dim in
-  let mask = nv - 1 in
-  let kept = Sweep.kept sweep in
-  let nkept = Array.length kept in
-  (* Replica tables via the seed recurrence on plain (boxed-access)
-     float arrays, over the same kept set — table build is shared
-     per-curve work on both sides and is not timed. *)
-  let sums = Array.make (nkept * nv) 0. in
-  Array.iteri
-    (fun s p ->
-      let w = Array.init curve_dim (fun i -> plans.(p).(i) *. center.(i)) in
-      Seed_replica.subset_sums w curve_dim sums (s * nv))
-    kept;
-  let num_w = Array.init curve_dim (fun i -> initial.(i) *. center.(i)) in
-  let num_sums = Array.make nv 0. in
-  Seed_replica.subset_sums num_w curve_dim num_sums 0;
+  let sweep = Sweep.build ~plans ~initial:plans.(0) ~center () in
   let gtc = Float.Array.make nd nan in
   let patterns = Array.make nd (-1) in
   let scratch = Sweep.Scratch.create () in
@@ -1625,54 +1313,21 @@ let bench_kernel () =
      grid loop's, not the call protocol's. *)
   let grid = Sweep.eval_grid ~scratch sweep in
   let run_grid () = grid ~deltas ~gtc ~patterns in
-  let run_seed_curve () =
-    for i = 0 to nd - 1 do
-      ignore
-        (Seed_replica.eval ~nv ~mask ~nkept ~sums ~num_sums ~delta:deltas.(i))
-    done
-  in
   run_grid ();
-  (* Bitwise contract first: the grid against per-point eval. *)
   Array.iteri
     (fun i delta ->
       let v, p = Sweep.eval sweep ~delta in
-      if
-        Int64.bits_of_float v <> Int64.bits_of_float (Float.Array.get gtc i)
-        || p <> patterns.(i)
-      then
+      if bits v <> bits (Float.Array.get gtc i) || p <> patterns.(i) then
         failwith
           (Printf.sprintf
              "kernel curve: eval_grid differs from per-point eval at delta %g"
              delta))
     deltas;
-  (* Then the replica against the kernel, within fma/mul-add tolerance. *)
-  Array.iteri
-    (fun i delta ->
-      let before =
-        Seed_replica.eval ~nv ~mask ~nkept ~sums ~num_sums ~delta
-      in
-      check_close ~what:"curve" ~before
-        ~after:(Float.Array.get gtc i, patterns.(i))
-        ~delta)
-    deltas;
-  let curve_times = interleaved ~rounds ~reps [| run_seed_curve; run_grid |] in
-  let curve_before_t, curve_before_mean = curve_times.(0) in
-  let curve_after_t, curve_after_mean = curve_times.(1) in
-  let _, curve_before_minor, curve_before_major =
-    Obs.measure_alloc ~n:nd run_seed_curve
-  in
-  let _, curve_after_minor, curve_after_major =
-    Obs.measure_alloc ~n:nd run_grid
-  in
   (* --- workload 2: branch-and-bound beyond the exhaustive gate --- *)
   let bplans = random_plans bnb_dim in
-  let binitial = bplans.(0) in
   let bcenter = Qsens_linalg.Vec.make bnb_dim 1. in
-  let bnb = Sweep.Bnb.build ~plans:bplans ~initial:binitial ~center:bcenter () in
-  let bkept = Sweep.Bnb.kept bnb in
-  let seed_bnb =
-    Seed_replica.build_bnb ~plans:bplans ~initial:binitial ~center:bcenter
-      ~kept:bkept
+  let bnb =
+    Sweep.Bnb.build ~plans:bplans ~initial:bplans.(0) ~center:bcenter ()
   in
   let bsc = Sweep.Bnb.Scratch.create () in
   let bgtc = Float.Array.make nd nan in
@@ -1684,77 +1339,53 @@ let bench_kernel () =
       bpatterns.(i) <- p
     done
   in
-  let run_seed_bnb () =
-    for i = 0 to nd - 1 do
-      ignore (Seed_replica.bnb_eval seed_bnb ~delta:deltas.(i))
-    done
-  in
   run_flat ();
-  (* Bitwise contract: the node-pool engine against the classic one. *)
   let total_nodes = ref 0 and total_leaves = ref 0 in
   Array.iteri
     (fun i delta ->
       let (v, p), (n, l) = Sweep.Bnb.eval_with_stats bnb ~delta in
       total_nodes := !total_nodes + n;
       total_leaves := !total_leaves + l;
-      if
-        Int64.bits_of_float v <> Int64.bits_of_float (Float.Array.get bgtc i)
-        || p <> bpatterns.(i)
-      then
+      if bits v <> bits (Float.Array.get bgtc i) || p <> bpatterns.(i) then
         failwith
           (Printf.sprintf
-             "kernel bnb: node-pool search differs from classic at delta %g"
+             "kernel bnb: warm-scratch search differs from a cold one at \
+              delta %g"
              delta))
     deltas;
-  (* Replica against the kernel, within tolerance. *)
-  Array.iteri
-    (fun i delta ->
-      let vb, pb, _, _ = Seed_replica.bnb_eval seed_bnb ~delta in
-      check_close ~what:"bnb" ~before:(vb, pb)
-        ~after:(Float.Array.get bgtc i, bpatterns.(i))
-        ~delta)
-    deltas;
-  let bnb_times = interleaved ~rounds ~reps [| run_seed_bnb; run_flat |] in
-  let bnb_before_t, bnb_before_mean = bnb_times.(0) in
-  let bnb_after_t, bnb_after_mean = bnb_times.(1) in
-  let _, bnb_before_minor, bnb_before_major =
-    Obs.measure_alloc ~n:nd run_seed_bnb
+  let times = interleaved ~rounds ~reps [| run_grid; run_flat |] in
+  let curve_t, curve_mean = times.(0) and bnb_t, bnb_mean = times.(1) in
+  let _, curve_minor, curve_major = Obs.measure_alloc ~n:nd run_grid in
+  let _, bnb_minor, bnb_major = Obs.measure_alloc ~n:nd run_flat in
+  let bnb_ceiling =
+    Float.of_int (bnb_minor_words_per_grid ~smoke:!sweep_smoke)
+    /. Float.of_int nd
   in
-  let _, bnb_after_minor, bnb_after_major = Obs.measure_alloc ~n:nd run_flat in
   (* --- report --- *)
   let t =
     Table_r.make
-      ~header:[ "workload"; "path"; "best (ms)"; "mean (ms)"; "speedup";
-                "minor w/pt"; "major w/pt" ]
+      ~header:[ "workload"; "path"; "best (ms)"; "mean (ms)"; "minor w/pt";
+                "major w/pt"; "minor gate" ]
   in
-  let row workload path best mean speedup minor major =
+  let row workload path best mean minor major gate =
     Table_r.add_row t
       [ workload; path;
         Printf.sprintf "%.3f" (best *. 1e3);
         Printf.sprintf "%.3f" (mean *. 1e3);
-        (match speedup with
-        | None -> "1.00x"
-        | Some s -> Printf.sprintf "%.2fx" s);
-        Printf.sprintf "%.1f" minor; Printf.sprintf "%.1f" major ]
+        Printf.sprintf "%.1f" minor; Printf.sprintf "%.1f" major;
+        Printf.sprintf "%.2f" gate ]
   in
-  let curve_name = Printf.sprintf "curve dim=%d plans=%d" curve_dim plan_count in
-  let bnb_name = Printf.sprintf "bnb dim=%d plans=%d" bnb_dim plan_count in
-  row curve_name "seed-replica" curve_before_t curve_before_mean None
-    curve_before_minor curve_before_major;
-  row curve_name "grid-kernel" curve_after_t curve_after_mean
-    (Some (curve_before_t /. curve_after_t))
-    curve_after_minor curve_after_major;
-  row bnb_name "seed-replica" bnb_before_t bnb_before_mean None
-    bnb_before_minor bnb_before_major;
-  row bnb_name "node-pool" bnb_after_t bnb_after_mean
-    (Some (bnb_before_t /. bnb_after_t))
-    bnb_after_minor bnb_after_major;
+  row
+    (Printf.sprintf "curve dim=%d plans=%d" curve_dim plan_count)
+    "grid-kernel" curve_t curve_mean curve_minor curve_major 0.;
+  row
+    (Printf.sprintf "bnb dim=%d plans=%d" bnb_dim plan_count)
+    "node-pool" bnb_t bnb_mean bnb_minor bnb_major bnb_ceiling;
   Table_r.print t;
   Printf.printf
     "(grid=%d interleaved best-of-%d x%d; grid kernel bit-identical to \
-     per-point eval, node pool bit-identical to the classic engine, seed \
-     replicas within 1e-9 relative; %d search nodes / %d leaves per bnb \
-     grid)\n"
+     per-point eval, warm node pool bit-identical to a cold one; %d \
+     search nodes / %d leaves per bnb grid)\n"
     nd rounds reps !total_nodes !total_leaves;
   let path = Filename.concat (results_dir ()) "BENCH_kernel.json" in
   let oc = open_out path in
@@ -1762,27 +1393,20 @@ let bench_kernel () =
     "{\n  \"smoke\": %b,\n  \"grid_points\": %d,\n  \"rounds\": %d,\n  \
      \"reps\": %d,\n"
     !sweep_smoke nd rounds reps;
-  let emit name ~dim ~before_t ~before_mean ~before_minor ~before_major
-      ~after_t ~after_mean ~after_minor ~after_major ~extra ~last =
+  let emit name ~dim ~path ~best ~mean ~minor ~major ~gate ~extra ~last =
     Printf.fprintf oc
-      "  %S: {\n    \"dim\": %d, \"plans\": %d,%s\n    \"before\": { \
+      "  %S: {\n    \"dim\": %d, \"plans\": %d,%s \"path\": %S,\n    \
        \"best_s\": %.6f, \"mean_s\": %.6f, \"minor_words_per_point\": %.2f, \
-       \"major_words_per_point\": %.2f },\n    \"after\": { \"best_s\": \
-       %.6f, \"mean_s\": %.6f, \"minor_words_per_point\": %.2f, \
-       \"major_words_per_point\": %.2f },\n    \"speedup\": %.4f\n  }%s\n"
-      name dim plan_count extra before_t before_mean before_minor before_major
-      after_t after_mean after_minor after_major (before_t /. after_t)
+       \"major_words_per_point\": %.2f, \"minor_gate_per_point\": %.2f\n  \
+       }%s\n"
+      name dim plan_count extra path best mean minor major gate
       (if last then "" else ",")
   in
-  emit "curve" ~dim:curve_dim ~before_t:curve_before_t
-    ~before_mean:curve_before_mean ~before_minor:curve_before_minor
-    ~before_major:curve_before_major ~after_t:curve_after_t
-    ~after_mean:curve_after_mean ~after_minor:curve_after_minor
-    ~after_major:curve_after_major ~extra:"" ~last:false;
-  emit "bnb" ~dim:bnb_dim ~before_t:bnb_before_t ~before_mean:bnb_before_mean
-    ~before_minor:bnb_before_minor ~before_major:bnb_before_major
-    ~after_t:bnb_after_t ~after_mean:bnb_after_mean
-    ~after_minor:bnb_after_minor ~after_major:bnb_after_major
+  emit "curve" ~dim:curve_dim ~path:"grid-kernel" ~best:curve_t
+    ~mean:curve_mean ~minor:curve_minor ~major:curve_major ~gate:0. ~extra:""
+    ~last:false;
+  emit "bnb" ~dim:bnb_dim ~path:"node-pool" ~best:bnb_t ~mean:bnb_mean
+    ~minor:bnb_minor ~major:bnb_major ~gate:bnb_ceiling
     ~extra:
       (Printf.sprintf " \"nodes\": %d, \"leaves\": %d," !total_nodes
          !total_leaves)
@@ -1790,23 +1414,27 @@ let bench_kernel () =
   output_string oc "}\n";
   close_out oc;
   Printf.printf "[wrote %s]\n" path;
-  (* Allocation gate (CI: `bench kernel --smoke`).  The grid contract
-     is absolute — zero steady-state minor words per point; the search
-     contract is relative — never more than the seed engine it
-     replaced (the result pair and per-delta probe bookkeeping remain).
-     measure_alloc clamps at zero, so the grid check is an equality. *)
-  if curve_after_minor > 0. then begin
+  (* Allocation gate (CI: `bench kernel --smoke`).  Both contracts are
+     absolute: zero steady-state minor words per point on the grid path,
+     and no more than the recorded ceiling on the search.
+     measure_alloc clamps at zero, so the grid check is an equality;
+     the search check compares whole words per grid, so the per-point
+     rounding cannot blur it. *)
+  if curve_minor > 0. then begin
     Printf.eprintf
       "kernel gate: grid path allocates %.2f minor words per point \
        (expected 0)\n"
-      curve_after_minor;
+      curve_minor;
     exit 1
   end;
-  if bnb_after_minor > bnb_before_minor then begin
+  if
+    Float.round (bnb_minor *. Float.of_int nd)
+    > Float.of_int (bnb_minor_words_per_grid ~smoke:!sweep_smoke)
+  then begin
     Printf.eprintf
       "kernel gate: node-pool search allocates %.2f minor words per point, \
-       more than the %.2f of the seed engine\n"
-      bnb_after_minor bnb_before_minor;
+       more than its ceiling of %.2f\n"
+      bnb_minor bnb_ceiling;
     exit 1
   end
 

@@ -31,47 +31,24 @@ val equicost : a:Vec.t -> b:Vec.t -> costs:Vec.t -> bool
 (** Whether [costs] lies on the switchover plane of the two plans
     (Section 4.2), up to relative tolerance. *)
 
-val worst_case_gtc :
-  ?pool:Qsens_parallel.Pool.t ->
-  plans:Vec.t array ->
-  a:Vec.t ->
-  Qsens_geom.Box.t ->
-  float * Vec.t
-(** [worst_case_gtc ~plans ~a box] —
-    the maximum of [GTC_rel(a, .)] over the feasible cost region, with an
-    attaining cost vector.  Computed as [max_b max_C (A . C) / (B . C)];
-    by Observation 2 the maximum is attained at a vertex of the region,
-    and the returned vector is such a vertex.
-
-    Up to 10 dimensions the maximization enumerates the box vertices with
-    a packed plan matrix ({!Qsens_linalg.Kernel}) — exact, and
-    bit-identical to {!worst_case_gtc_naive}; beyond that it falls back to
-    {!worst_case_gtc_fractional}.  Requires nonnegative [plans] and [a]
-    on the vertex path.
-
-    With [?pool] the per-plan maximizations run across domains; the
-    argmax reduction breaks ties by lowest plan index, so the result is
-    identical to the sequential run. *)
-
-val worst_case_gtc_naive :
-  ?pool:Qsens_parallel.Pool.t ->
-  plans:Vec.t array ->
-  a:Vec.t ->
-  Qsens_geom.Box.t ->
-  float * Vec.t
-(** The vertex-enumeration maximization with per-plan {!Vec.dot} instead
-    of the packed kernel — the bit-identity reference for
-    {!worst_case_gtc} on dimensions the kernel handles.  Same argmax,
-    tie-breaking and degenerate (NaN) semantics. *)
-
 val worst_case_gtc_fractional :
   ?pool:Qsens_parallel.Pool.t ->
   plans:Vec.t array ->
   a:Vec.t ->
   Qsens_geom.Box.t ->
   float * Vec.t
-(** The pre-kernel path: each inner maximization a linear-fractional
-    program over the box (see {!Qsens_geom.Fractional}).  Kept as the
-    high-dimension fallback and as the honest baseline for the sweep
-    benchmark.  Converges to the vertex maximum within the bisection
-    tolerance but is not bit-identical to the vertex paths. *)
+(** [worst_case_gtc_fractional ~plans ~a box] — the maximum of
+    [GTC_rel(a, .)] over the feasible cost region, with an attaining
+    cost vector: [max_b max_C (A . C) / (B . C)], each inner
+    maximization a linear-fractional program over the box (see
+    {!Qsens_geom.Fractional}).  The worst-case analysis's
+    high-dimension and budget-fallback evaluator ({!Worst_case}), and
+    the honest baseline for the sweep benchmark.  Converges to the
+    vertex maximum (Observation 2) within the bisection tolerance but is
+    not bit-identical to the vertex paths.
+
+    Degenerate plans (zero ratio numerator and denominator everywhere)
+    are counted and skipped; when every plan is degenerate the result
+    is NaN with the box center as witness.  With [?pool] the per-plan
+    programs run across domains and reduce in ascending chunk order,
+    ties to the lowest plan index — identical to the sequential run. *)

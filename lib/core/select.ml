@@ -23,8 +23,6 @@ type point = {
   fallbacks : int;
 }
 
-type engine = [ `Auto | `Exhaustive | `Bnb ]
-
 (* All selection sweeps the same boxes as the worst-case analysis:
    multiplicative error around the estimated costs, the all-ones point of
    the active group subspace. *)
@@ -86,137 +84,35 @@ let point_of_regrets ~kernel ~center ~classic ~delta ~regret ~fallbacks =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-candidate worst-case regret over the box, through the same three
-   tiers as Worst_case.curve_with_path: exhaustive subset-sum sweeps
-   below the table gate, budgeted branch-and-bound below the pattern
-   gate (a search that trips its per-(candidate, delta) node budget
-   degrades to the linear-fractional program for that cell alone), and
-   the linear-fractional program beyond.  Candidate [i]'s regret is the
-   worst-case GTC with [initial := plans.(i)] against the whole set, so
-   the classic candidate's column reproduces Worst_case.curve
-   bit-for-bit. *)
+(* Per-candidate worst-case regret over the box: candidate [i]'s regret
+   is the worst-case GTC with [initial := plans.(i)] against the whole
+   set, through Worst_case's tier dispatch (one engine build for the
+   set, a rebind per further candidate) — so every regret column
+   reproduces Worst_case.curve for that candidate bit-for-bit. *)
 
-let regrets_fractional ?pool ~plans ~center delta =
-  let box = Box.around center ~delta in
-  Array.map
-    (fun initial ->
-      fst (Framework.worst_case_gtc_fractional ?pool ~plans ~a:initial box))
-    plans
-
-let curve_exhaustive ?pool ~plans ~center ~deltas () =
-  (* One subset-sum build for the whole candidate set: the per-plan
-     tables, kept set and degenerate flags depend only on (plans,
-     center), so candidate [i]'s sweep is a [rebind] of the first —
-     bit-identical to a fresh build with that initial at a fraction of
-     the cost (only the numerator side is recomputed). *)
-  let base = Sweep.build ?pool ~plans ~initial:plans.(0) ~center () in
-  let sweeps =
-    Array.mapi
-      (fun i initial -> if i = 0 then base else Sweep.rebind base ~initial)
-      plans
-  in
-  let darr = Array.of_list deltas in
-  let nd = Array.length darr in
-  let np = Array.length plans in
-  let regrets = Array.init nd (fun _ -> Array.make np nan) in
-  let gtc = Float.Array.make nd nan in
-  let patterns = Array.make nd (-1) in
-  let scratch = Sweep.Scratch.create () in
-  Array.iteri
-    (fun i sw ->
-      (* Whole-grid incremental eval per candidate — bit-identical to
-         per-point [Sweep.eval], zero minor words per point once the
-         scratch is warm. *)
-      Sweep.eval_grid ~scratch sw ~deltas:darr ~gtc ~patterns;
-      for di = 0 to nd - 1 do
-        regrets.(di).(i) <- Float.Array.get gtc di
-      done)
-    sweeps;
-  List.init nd (fun di -> (darr.(di), regrets.(di), 0))
-
-let curve_bnb ?pool ?(node_budget = Limits.default_bnb_node_budget) ~plans
-    ~center ~deltas () =
-  (* As [curve_exhaustive]: one build, then a numerator-only [rebind]
-     per further candidate. *)
-  let base = Sweep.Bnb.build ~plans ~initial:plans.(0) ~center () in
-  let searches =
-    Array.mapi
-      (fun i initial ->
-        if i = 0 then base else Sweep.Bnb.rebind base ~initial)
-      plans
-  in
-  let scratch = Sweep.Bnb.Scratch.create () in
-  List.map
-    (fun delta ->
-      let fallbacks = ref 0 in
-      let regret =
-        Array.mapi
-          (fun i bnb ->
-            (* A budgeted search runs sequentially, so whether a cell
-               trips is a pure function of (budget, plans, delta) — the
-               fallback set is deterministic for any pool size; the
-               node-pool scratch preserves the exact trip points. *)
-            let budget = Budget.create node_budget in
-            match Sweep.Bnb.eval ?pool ~budget ~scratch bnb ~delta with
-            | gtc, _ -> gtc
-            | exception Budget.Exhausted _ ->
-                incr fallbacks;
-                let box = Box.around center ~delta in
-                fst
-                  (Framework.worst_case_gtc_fractional ~plans ~a:plans.(i) box))
-          searches
-      in
-      Obs.add m_budget_fallbacks !fallbacks;
-      (delta, regret, !fallbacks))
-    deltas
-
-let describe_path ~cells ~node_budget ~fallbacks =
-  if fallbacks = 0 then "branch-and-bound"
-  else
-    Printf.sprintf
-      "branch-and-bound (%d/%d searches past the %d-node budget -> \
-       linear-fractional)"
-      fallbacks cells node_budget
-
-let curve ?(deltas = Worst_case.default_deltas) ?pool ?node_budget
-    ?(engine = `Auto) ~plans () =
+let curve ?(deltas = Worst_case.default_deltas) ?pool ?node_budget ~plans () =
   validate ~who:"Select.curve" plans;
   let center = ones_center ~plans in
-  let dim = Vec.dim center in
   let kernel = Kernel.pack plans in
   let classic = Framework.optimal_index ~plans ~costs:center in
-  let finish (delta, regret, fallbacks) =
-    Obs.add m_selections 1;
-    point_of_regrets ~kernel ~center ~classic ~delta ~regret ~fallbacks
+  let curves, fallbacks, path =
+    Worst_case.curves_with_path ~deltas ?pool ?node_budget ~plans
+      ~initials:plans ()
   in
-  let exhaustive () =
-    ( List.map finish (curve_exhaustive ?pool ~plans ~center ~deltas ()),
-      "exhaustive sweep" )
+  Obs.add m_budget_fallbacks (Array.fold_left ( + ) 0 fallbacks);
+  let points =
+    List.mapi
+      (fun di delta ->
+        Obs.add m_selections 1;
+        let regret = Array.map (fun c -> c.(di).Worst_case.gtc) curves in
+        point_of_regrets ~kernel ~center ~classic ~delta ~regret
+          ~fallbacks:fallbacks.(di))
+      deltas
   in
-  let bnb () =
-    let rows = curve_bnb ?pool ?node_budget ~plans ~center ~deltas () in
-    let fallbacks = List.fold_left (fun a (_, _, f) -> a + f) 0 rows in
-    let cells = Array.length plans * List.length deltas in
-    let node_budget =
-      Option.value ~default:Limits.default_bnb_node_budget node_budget
-    in
-    (List.map finish rows, describe_path ~cells ~node_budget ~fallbacks)
-  in
-  match engine with
-  | `Exhaustive -> exhaustive ()
-  | `Bnb -> bnb ()
-  | `Auto ->
-      if Sweep.supported ~dim then exhaustive ()
-      else if Sweep.Bnb.supported ~dim then bnb ()
-      else
-        ( List.map
-            (fun delta ->
-              finish (delta, regrets_fractional ?pool ~plans ~center delta, 0))
-            deltas,
-          "linear-fractional fallback" )
+  (points, path)
 
-let select ?pool ?node_budget ?engine ~plans ~delta () =
-  match curve ~deltas:[ delta ] ?pool ?node_budget ?engine ~plans () with
+let select ?pool ?node_budget ~plans ~delta () =
+  match curve ~deltas:[ delta ] ?pool ?node_budget ~plans () with
   | [ p ], _ -> p
   | _ -> assert false
 

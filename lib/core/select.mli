@@ -27,19 +27,20 @@
 
     {2 Tier dispatch and determinism}
 
-    Regret evaluation rides the same three-tier dimension dispatch as
-    {!Worst_case.curve_with_path}: exhaustive subset-sum sweeps up to
-    {!Limits.exhaustive_max_dim}, budgeted branch-and-bound up to
-    {!Limits.bnb_max_dim} (a search that trips its per-(candidate,
+    Regret evaluation is {!Worst_case.curves_with_path} with every
+    candidate as the initial plan: the same three-tier dimension
+    dispatch as {!Worst_case.curve_with_path} — exhaustive subset-sum
+    sweeps up to {!Limits.exhaustive_max_dim}, budgeted branch-and-bound
+    up to {!Limits.bnb_max_dim} (a search that trips its per-(candidate,
     delta) node budget degrades to the linear-fractional program for
     that cell alone, counted in [fallbacks]), and the linear-fractional
-    program beyond.  All argmins scan in ascending candidate order with
-    strict improvement and skip NaN scores, so selections are
-    bit-identical across pool sizes and across the exhaustive/B&B tiers
-    wherever both are defined — the qcheck property the test suite
-    drives.  At [delta = 1] the box is a point, every regret is the cost
-    ratio at the estimate, and all three rules return the classic
-    index. *)
+    program beyond — from one engine build per plan set.  Each regret
+    column is therefore bit-identical to {!Worst_case.curve} with that
+    candidate as the initial plan.  All argmins scan in ascending
+    candidate order with strict improvement and skip NaN scores, so
+    selections are bit-identical across pool sizes.  At [delta = 1] the
+    box is a point, every regret is the cost ratio at the estimate, and
+    all three rules return the classic index. *)
 
 open Qsens_linalg
 
@@ -55,13 +56,10 @@ type point = {
           linear-fractional program answered instead *)
 }
 
-type engine = [ `Auto | `Exhaustive | `Bnb ]
-
 val curve :
   ?deltas:float list ->
   ?pool:Qsens_parallel.Pool.t ->
   ?node_budget:int ->
-  ?engine:engine ->
   plans:Vec.t array ->
   unit ->
   point list * string
@@ -69,15 +67,12 @@ val curve :
     (default {!Worst_case.default_deltas}) and returns the per-delta
     selections plus the evaluation path taken (the same strings the
     worst-case CLI prints, with budget-fallback counts appended).
-    [engine] defaults to [`Auto] (dimension dispatch); [`Exhaustive] and
-    [`Bnb] force a tier for cross-checks and raise [Invalid_argument]
-    past that tier's gate, like the underlying builders.  Raises
-    [Invalid_argument] on an empty plan set or mismatched dimensions. *)
+    Raises [Invalid_argument] on an empty plan set or mismatched
+    dimensions. *)
 
 val select :
   ?pool:Qsens_parallel.Pool.t ->
   ?node_budget:int ->
-  ?engine:engine ->
   plans:Vec.t array ->
   delta:float ->
   unit ->
@@ -110,17 +105,6 @@ val expected_costs :
     [Box.around center ~delta]: one {!Qsens_linalg.Kernel.dot_rows}
     against the componentwise midpoint [c_i * (delta + 1/delta) / 2].
     Raises [Invalid_argument] if [delta < 1]. *)
-
-val regrets_fractional :
-  ?pool:Qsens_parallel.Pool.t ->
-  plans:Vec.t array ->
-  center:Vec.t ->
-  float ->
-  float array
-(** The bottom exact tier on its own: every candidate's worst-case GTC
-    over [Box.around center ~delta] via one linear-fractional program
-    per (candidate, plan) pair — no dimension gate, no tables.  The
-    service's fractional tier calls this directly. *)
 
 val point_of_regrets :
   kernel:Kernel.t ->

@@ -257,13 +257,13 @@ let eval ?budget t ~delta =
 (* ------------------------------------------------------------------ *)
 (* Incremental grid evaluation.  Two observations over [eval]:
 
-   - The numerator vertex values [fma delta num_sums(k)
-     (num_sums(~k) * inv)] do not depend on the plan, yet the per-point
-     scan recomputes them for every kept plan.  Hoisting them into a
-     per-delta buffer — carried in the caller's scratch across the whole
-     grid — halves the FMA count.  The hoisted values are produced by
-     the exact expression [eval] evaluates inline, so every ratio (and
-     hence the argmax) is bit-identical.
+   - The numerator vertex values [vertex_value ~delta ~inv
+     num_sums(k) num_sums(~k)] do not depend on the plan, yet the
+     per-point scan recomputes them for every kept plan.  Hoisting them
+     into a per-delta buffer — carried in the caller's scratch across
+     the whole grid — halves the vertex-value count.  The hoisted values
+     are produced by the exact expression [eval] evaluates inline, so
+     every ratio (and hence the argmax) is bit-identical.
 
    - All storage is unboxed and every index is in range by construction
      ([k <= mask], [off + mask < length sums]), so the scan runs on
@@ -394,10 +394,11 @@ let initial_b t ~pattern =
 (* ------------------------------------------------------------------ *)
 (* Branch-and-bound evaluation: same worst-case GTC argmax as [eval],
    computed without the 2^dim subset-sum tables.  Per delta, every kept
-   plan becomes a {!Vertex_enum.Bnb.spec} whose leaf kernel re-derives
-   the exact [eval] ratio — ascending-index numerator and denominator
-   partial sums through the shared [vertex_value] — so the result is
-   bit-identical to the exhaustive sweep wherever both are defined. *)
+   plan becomes a {!Vertex_enum.Bnb.Flat.spec} whose inlined leaf
+   kernel re-derives the exact [eval] ratio — ascending-index numerator
+   and denominator partial sums, each vertex value in the two roundings
+   of [vertex_value] — so the result is bit-identical to the exhaustive
+   sweep wherever both are defined. *)
 module Bnb = struct
   let max_dim = Limits.bnb_max_dim
   let supported ~dim = dim >= 1 && dim <= max_dim
@@ -522,9 +523,9 @@ module Bnb = struct
 
   (* Exact exhaustive kernel for one pattern: ascending-index partial
      sums on both sides — the same association as the subset-sum tables'
-     highest-bit recurrence — through the shared [vertex_value].  The
-     search result is bit-identical to [Sweep.eval] because every
-     surviving leaf goes through this. *)
+     highest-bit recurrence — through the shared [vertex_value].  Used
+     by the collapsed-box shortcut; the search inlines the same
+     arithmetic. *)
   let leaf_ratio ~delta ~inv ~wn ~wd k =
     let an = ref 0. and bn = ref 0. and ad = ref 0. and bd = ref 0. in
     for i = 0 to Array.length wd - 1 do
@@ -539,53 +540,9 @@ module Bnb = struct
     done;
     vertex_value ~delta ~inv !an !bn /. vertex_value ~delta ~inv !ad !bd
 
-  (* Per-coordinate branch terms for the bounds: with delta >= 1 and
-     nonnegative weights, the high side [delta * w] is the larger term
-     and the low side [w / delta] the smaller, so suffix maxima and
-     minima reduce to scaled prefix sums.  [num_bound_eq] is accumulated
-     term by term — never as [delta * (total - eq_part)] — because
-     cancellation in that difference could undershoot the true bound by
-     far more than the search's 1e-12 inflation. *)
-  let spec_of t ~delta ~inv s =
-    let m = t.dim in
-    let wd = t.weights.(s) and wn = t.num_weights in
-    let eq = t.eq.(s) in
-    let num_hi = Array.make m 0.
-    and num_lo = Array.make m 0.
-    and den_hi = Array.make m 0.
-    and den_lo = Array.make m 0.
-    and num_bound = Array.make m 0.
-    and num_bound_eq = Array.make m 0.
-    and den_bound = Array.make m 0. in
-    let stride = m + 1 in
-    let acc_eq = ref 0. in
-    for i = 0 to m - 1 do
-      num_hi.(i) <- delta *. wn.(i);
-      num_lo.(i) <- wn.(i) *. inv;
-      den_hi.(i) <- delta *. wd.(i);
-      den_lo.(i) <- wd.(i) *. inv;
-      num_bound.(i) <- delta *. FA.get t.nsum (i + 1);
-      den_bound.(i) <- inv *. FA.get t.wsum ((s * stride) + i + 1);
-      acc_eq := !acc_eq +. (if eq.(i) then wn.(i) *. inv else delta *. wn.(i));
-      num_bound_eq.(i) <- !acc_eq
-    done;
-    {
-      Vertex_enum.Bnb.dim = m;
-      num_hi;
-      num_lo;
-      den_hi;
-      den_lo;
-      num_bound;
-      num_bound_eq;
-      den_bound;
-      pinned = t.pinned.(s);
-      identical = t.identical.(s);
-      leaf = (fun k -> leaf_ratio ~delta ~inv ~wn ~wd k);
-    }
-
   type bnb = t
 
-  (* Reusable state for the node-pool engine (Vertex_enum.Bnb.Flat):
+  (* Reusable state for the search (Vertex_enum.Bnb.Flat):
      per-kept-slot flat specs whose delta-independent halves (leaf
      weights, pinned/identical flags) are filled when the scratch is
      bound to a search, the shared DFS stack, and the stats record.
@@ -646,9 +603,14 @@ module Bnb = struct
           sc.specs <- specs;
           sc.ndegen <- !ndegen
 
-    (* Exactly [spec_of]'s arithmetic, term for term, written into the
-       preallocated tables — so the flat search runs on bit-identical
-       bounds and leaf weights. *)
+    (* Per-coordinate branch terms for the bounds, written into the
+       preallocated tables: with delta >= 1 and nonnegative weights, the
+       high side [delta * w] is the larger term and the low side
+       [w / delta] the smaller, so suffix maxima and minima reduce to
+       scaled prefix sums.  [num_bound_eq] is accumulated term by term —
+       never as [delta * (total - eq_part)] — because cancellation in
+       that difference could undershoot the true bound by far more than
+       the search's 1e-12 inflation. *)
     let fill_delta sc (t : bnb) ~delta ~inv =
       let m = t.dim in
       let stride = m + 1 in
@@ -678,7 +640,7 @@ module Bnb = struct
         sc.slots
   end
 
-  let eval_with_stats ?pool ?budget ?scratch t ~delta =
+  let eval_with_stats ?budget ?scratch t ~delta =
     if delta < 1. then invalid_arg "Sweep.Bnb.eval: delta must be >= 1";
     Obs.add m_bnb_evals 1;
     let inv = 1. /. delta in
@@ -712,54 +674,28 @@ module Bnb = struct
         (res, (!leaves, !leaves))
       end
       else begin
-        (* The node-pool engine is the sequential path: a multi-domain
-           unbudgeted search still shards through the boxed engine (the
-           incumbent cannot travel through caller-owned scratch), and a
-           budgeted search runs sequentially by contract either way. *)
-        let sequential =
-          Option.is_some budget
-          || match pool with Some p -> Pool.domains p <= 1 | None -> true
+        let sc = match scratch with Some sc -> sc | None -> Scratch.create () in
+        Scratch.bind sc t;
+        Scratch.fill_delta sc t ~delta ~inv;
+        degen := sc.Scratch.ndegen;
+        let stats = sc.Scratch.stats in
+        stats.Vertex_enum.Bnb.nodes <- 0;
+        stats.Vertex_enum.Bnb.leaves <- 0;
+        let v, pat, _ =
+          Vertex_enum.Bnb.Flat.search ?budget ~stats ~stack:sc.Scratch.stack
+            sc.Scratch.specs
         in
-        match scratch with
-        | Some sc when sequential ->
-            Scratch.bind sc t;
-            Scratch.fill_delta sc t ~delta ~inv;
-            degen := sc.Scratch.ndegen;
-            let stats = sc.Scratch.stats in
-            stats.Vertex_enum.Bnb.nodes <- 0;
-            stats.Vertex_enum.Bnb.leaves <- 0;
-            let v, pat, _ =
-              Vertex_enum.Bnb.Flat.search ?budget ~stats
-                ~stack:sc.Scratch.stack sc.Scratch.specs
-            in
-            Obs.add m_bnb_nodes stats.Vertex_enum.Bnb.nodes;
-            Obs.add m_bnb_leaves stats.Vertex_enum.Bnb.leaves;
-            let res =
-              if pat >= 0 then (v, pat)
-              else ((if !degen > 0 then nan else v), -1)
-            in
-            (res, (stats.Vertex_enum.Bnb.nodes, stats.Vertex_enum.Bnb.leaves))
-        | _ ->
-            let specs = ref [] in
-            for s = nkept - 1 downto 0 do
-              if t.degenerate.(t.kept.(s)) && t.initial_zero then incr degen
-              else specs := spec_of t ~delta ~inv s :: !specs
-            done;
-            let specs = Array.of_list !specs in
-            let stats = Vertex_enum.Bnb.fresh_stats () in
-            let v, pat, _ = Vertex_enum.Bnb.search ?pool ~stats ?budget specs in
-            Obs.add m_bnb_nodes stats.Vertex_enum.Bnb.nodes;
-            Obs.add m_bnb_leaves stats.Vertex_enum.Bnb.leaves;
-            let res =
-              if pat >= 0 then (v, pat)
-              else ((if !degen > 0 then nan else v), -1)
-            in
-            (res, (stats.Vertex_enum.Bnb.nodes, stats.Vertex_enum.Bnb.leaves))
+        Obs.add m_bnb_nodes stats.Vertex_enum.Bnb.nodes;
+        Obs.add m_bnb_leaves stats.Vertex_enum.Bnb.leaves;
+        let res =
+          if pat >= 0 then (v, pat) else ((if !degen > 0 then nan else v), -1)
+        in
+        (res, (stats.Vertex_enum.Bnb.nodes, stats.Vertex_enum.Bnb.leaves))
       end
     in
     Obs.add m_degenerate_ratios !degen;
     result
 
-  let eval ?pool ?budget ?scratch t ~delta =
-    fst (eval_with_stats ?pool ?budget ?scratch t ~delta)
+  let eval ?budget ?scratch t ~delta =
+    fst (eval_with_stats ?budget ?scratch t ~delta)
 end

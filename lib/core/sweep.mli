@@ -11,8 +11,9 @@
     with [A_s = sum over set bits of u_i*c_i] and [B_s] the complementary
     sum.  The [A]/[B] tables depend only on the plan set and the box
     {e center}, never on [delta]: build them once per curve, then every
-    grid point costs two fused multiply-adds per (plan, vertex) instead of
-    a fresh vertex enumeration with full dot products.
+    grid point costs two vertex values ({!vertex_value}, two roundings
+    each) per (plan, vertex) instead of a fresh vertex enumeration with
+    full dot products.
 
     One subset-sum table [S] per plan stores both halves:
     [A_s = S(pattern)] and [B_s = S(complement of pattern)].
@@ -21,8 +22,8 @@
 
     Subset sums accumulate in ascending component-index order (the
     highest-bit recurrence), vertex values use one shared
-    [fma delta a (b * (1/delta))] with [1/delta] computed once per
-    [eval], and the flat argmax scans plans in ascending original index
+    [(delta * a) + (b * (1/delta))] ({!vertex_value}) with [1/delta]
+    computed once per [eval], and the flat argmax scans plans in ascending original index
     and patterns in ascending order with strict improvement — so results
     are bit-identical for any pool size, and identical whether the tables
     are built once or rebuilt per delta.  Dominance pruning never changes
@@ -127,7 +128,7 @@ val eval_grid :
     writing [eval t ~delta:deltas.(i)] into [gtc.(i)]/[patterns.(i)] —
     bit-identical to per-point {!eval} (including the [delta = 1]
     shortcut, tie-breaking and the degenerate NaN contract), at roughly
-    half the FMA count: the numerator vertex values are plan-independent
+    half the vertex-value count: the numerator vertex values are plan-independent
     and are hoisted into the scratch once per delta instead of
     recomputed per kept plan.  Steady state (warm scratch, caller-owned
     buffers) allocates zero minor-heap words per grid point — the
@@ -204,14 +205,15 @@ module Bnb : sig
   (** Resident size in bytes from the table dimensions; the [size_of]
       for the server's branch-and-bound cache. *)
 
-  (** Reusable node-pool state for sequential searches: flat unboxed
-      spec tables (refilled in place per delta), the preallocated DFS
-      stack, and the stats record.  A scratch binds lazily to the
-      search it is passed with (rebinding when handed a different one),
-      so sweeping a grid against one search allocates nothing per
-      point beyond the result pair.  Single-owner mutable state —
-      never share one across domains, and never store one inside a
-      server-cached value. *)
+  (** Reusable node-pool state for the search: flat unboxed spec tables
+      (refilled in place per delta), the preallocated DFS stack, and the
+      stats record.  A scratch binds lazily to the search it is passed
+      with (rebinding, which allocates the specs, when handed a
+      different one), so sweeping a grid against one search allocates
+      nothing per point beyond the result pair — callers evaluating
+      several searches should finish one search's grid before moving
+      to the next.  Single-owner mutable state — never share one across
+      domains, and never store one inside a server-cached value. *)
   module Scratch : sig
     type t
 
@@ -219,40 +221,29 @@ module Bnb : sig
   end
 
   val eval :
-    ?pool:Qsens_parallel.Pool.t ->
     ?budget:Qsens_budget.Budget.t ->
     ?scratch:Scratch.t ->
     t ->
     delta:float ->
     float * int
   (** Bit-identical to the exhaustive [eval] (same [(gtc, pattern)],
-      same ties, same [pattern = -1] degenerate contract), for any pool
-      size.  With [?pool] the top branch prefixes of each plan's search
-      shard across domains.  With [?budget] every visited search node
-      charges one unit and exhaustion raises
-      {!Qsens_budget.Budget.Exhausted}; a budgeted search runs
-      sequentially (see {!Qsens_geom.Vertex_enum.Bnb.search}) so the
-      trip point is deterministic. *)
+      same ties, same [pattern = -1] degenerate contract).  The search
+      runs on the node-pool engine
+      ({!Qsens_geom.Vertex_enum.Bnb.Flat}) against [scratch], or a fresh
+      one when none is passed; results do not depend on the scratch's
+      history.  With [?budget] every visited search node charges one
+      unit and exhaustion raises {!Qsens_budget.Budget.Exhausted}; the
+      search is sequential, so the trip point is a pure function of
+      (budget, search, delta). *)
 
   val eval_with_stats :
-    ?pool:Qsens_parallel.Pool.t ->
     ?budget:Qsens_budget.Budget.t ->
     ?scratch:Scratch.t ->
     t ->
     delta:float ->
     (float * int) * (int * int)
   (** [eval] plus [(nodes, leaves)] visited by the search — the honesty
-      counters behind BENCH_highdim.json.  Deterministic for a fixed
-      pool size; pooled runs visit more nodes because the incumbent does
-      not travel between shards.
-
-      With [?scratch], sequential searches (a budget present, or no
-      pool/a one-domain pool) run on the node-pool engine
-      ({!Qsens_geom.Vertex_enum.Bnb.Flat}): spec tables are refilled in
-      place per delta and the descent allocates nothing per node.
-      Results and budget trip points are bit-identical to the classic
-      engine; multi-domain unbudgeted searches ignore the scratch and
-      take the pooled path unchanged. *)
+      counters behind BENCH_highdim.json.  Deterministic. *)
 
   (** {3 Introspection} *)
 

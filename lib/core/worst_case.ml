@@ -4,13 +4,6 @@ module Pool = Qsens_parallel.Pool
 module Obs = Qsens_obs.Obs
 module Budget = Qsens_budget.Budget
 
-(* Same name as in Framework: registration is idempotent, both sites feed
-   one counter. *)
-let m_degenerate_ratios =
-  Obs.counter
-    ~help:"degenerate (NaN) plan ratios skipped in worst-case argmax"
-    "wc.degenerate_ratios"
-
 let m_curve_points = Obs.counter ~help:"worst-case curve points" "wc.curve_points"
 
 let m_budget_fallbacks =
@@ -31,7 +24,38 @@ let default_deltas =
 let ones_center ~initial = Vec.make (Vec.dim initial) 1.
 
 (* ------------------------------------------------------------------ *)
-(* Kernel path: separable subset-sum tables, built once per sweep. *)
+(* One engine per tier, built once per (plans, initial): exhaustive
+   subset-sum tables up to Sweep.max_dim, the branch-and-bound search up
+   to Sweep.Bnb.max_dim, the linear-fractional program beyond.  A
+   further initial against the same plan set is a [rebind] — the tables
+   depend only on (plans, center) — so evaluating many initials costs
+   one build. *)
+
+type tier = Exhaustive of Sweep.t | Bnb of Sweep.Bnb.t | Fractional
+
+type engine = { plans : Vec.t array; initial : Vec.t; tier : tier }
+
+let engine ?pool ~plans ~initial () =
+  let dim = Vec.dim initial in
+  let center = ones_center ~initial in
+  let tier =
+    if Array.length plans = 0 then Fractional
+    else if Sweep.supported ~dim then
+      Exhaustive (Sweep.build ?pool ~plans ~initial ~center ())
+    else if Sweep.Bnb.supported ~dim then
+      Bnb (Sweep.Bnb.build ~plans ~initial ~center ())
+    else Fractional
+  in
+  { plans; initial; tier }
+
+let rebind e ~initial =
+  let tier =
+    match e.tier with
+    | Exhaustive sweep -> Exhaustive (Sweep.rebind sweep ~initial)
+    | Bnb bnb -> Bnb (Sweep.Bnb.rebind bnb ~initial)
+    | Fractional -> Fractional
+  in
+  { e with initial; tier }
 
 let point_of_eval ~center ~delta (gtc, pattern) =
   let box = Box.around center ~delta in
@@ -40,10 +64,23 @@ let point_of_eval ~center ~delta (gtc, pattern) =
   in
   { delta; gtc; witness }
 
-let curve_kernel ~deltas ?pool ~plans ~initial () =
-  let center = ones_center ~initial in
-  let sweep = Sweep.build ?pool ~plans ~initial ~center () in
-  let darr = Array.of_list deltas in
+(* Linear-fractional evaluation of one point: the top tier beyond the
+   pattern-bit bound, and the per-point budget fallback of the
+   branch-and-bound tier. *)
+let gtc_at_full_fractional ?pool ~plans ~initial delta =
+  let box = Box.around (ones_center ~initial) ~delta in
+  Framework.worst_case_gtc_fractional ?pool ~plans ~a:initial box
+
+let curve_fractional ?(deltas = default_deltas) ?pool ~plans ~initial () =
+  List.map
+    (fun delta ->
+      let gtc, witness = gtc_at_full_fractional ?pool ~plans ~initial delta in
+      Obs.add m_curve_points 1;
+      { delta; gtc; witness })
+    deltas
+
+(* Exhaustive tier: separable subset-sum tables, built once per sweep. *)
+let curve_kernel ?pool sweep ~center darr =
   let nd = Array.length darr in
   let results = Array.make nd { delta = nan; gtc = nan; witness = [||] } in
   (match pool with
@@ -70,226 +107,148 @@ let curve_kernel ~deltas ?pool ~plans ~initial () =
             (Float.Array.get gtc di, patterns.(di))
       done);
   Obs.add m_curve_points nd;
-  Array.to_list results
+  results
 
-let curve_naive ?(deltas = default_deltas) ?pool ~plans ~initial () =
-  (* Reference for the kernel path: rebuild the (delta-independent)
-     tables from scratch at every delta, pruning disabled — bit-identical
-     to [curve] by the Sweep determinism contract, at naive cost. *)
-  let center = ones_center ~initial in
-  List.map
-    (fun delta ->
-      let sweep = Sweep.build ?pool ~prune:false ~plans ~initial ~center () in
-      Obs.add m_curve_points 1;
-      point_of_eval ~center ~delta (Sweep.eval sweep ~delta))
-    deltas
+let count_fell fell = Array.fold_left (fun a f -> if f then a + 1 else a) 0 fell
 
-(* ------------------------------------------------------------------ *)
-(* Legacy single-point evaluation, needed below as the budget-exhaustion
-   fallback: one linear-fractional program per plan. *)
-
-let gtc_at_full_legacy ?pool ~plans ~initial delta =
-  let box = Box.around (ones_center ~initial) ~delta in
-  Framework.worst_case_gtc_fractional ?pool ~plans ~a:initial box
-
-(* ------------------------------------------------------------------ *)
-(* Branch-and-bound path: no 2^dim tables, so it covers the dimensions
-   the exhaustive kernel gates out — and doubles as a cross-checkable
-   shadow of the kernel below the gate, where the two are bit-identical
-   (Sweep.Bnb's determinism contract).
+(* Branch-and-bound tier: no 2^dim tables, so it covers the dimensions
+   the exhaustive kernel gates out — bit-identical to the kernel wherever
+   both are defined (Sweep.Bnb's determinism contract).
 
    [node_budget] is the per-grid-point allowance: each delta's search
    runs under a fresh budget, and a point whose search trips it degrades
    to the linear-fractional program for that point alone (recorded in
    [fell] and the wc.budget_fallbacks counter).  Whether a point trips
-   is a pure function of (budget, plans, delta) — budgeted searches run
-   sequentially — so the fallback set is deterministic for any pool
+   is a pure function of (budget, plans, delta) — the search is
+   sequential — so the fallback set is deterministic for any pool
    size. *)
-
-let curve_bnb ?node_budget ~deltas ?pool ~plans ~initial () =
-  let center = ones_center ~initial in
-  let bnb = Sweep.Bnb.build ~plans ~initial ~center () in
-  let darr = Array.of_list deltas in
+let curve_bnb ?pool ~node_budget ~plans ~initial bnb ~center darr =
   let nd = Array.length darr in
   let results = Array.make nd { delta = nan; gtc = nan; witness = [||] } in
   let fell = Array.make nd false in
-  let point ?pool ?scratch delta di =
-    match node_budget with
-    | None ->
-        (* qsens-check: disable=C003 — unbudgeted branch: Bnb.eval cannot raise Exhausted without a budget *)
-        point_of_eval ~center ~delta (Sweep.Bnb.eval ?pool ?scratch bnb ~delta)
-    | Some n -> (
-        let budget = Budget.create n in
-        try
-          point_of_eval ~center ~delta
-            (Sweep.Bnb.eval ?pool ~budget ?scratch bnb ~delta)
-        with Budget.Exhausted _ ->
-          (* qsens-check: disable=C001 — each chunk fills a disjoint [lo, hi) slice *)
-          fell.(di) <- true;
-          let gtc, witness = gtc_at_full_legacy ~plans ~initial delta in
-          { delta; gtc; witness })
-  in
-  let fill ?pool ?scratch lo hi =
+  let fill ~scratch lo hi =
     for di = lo to hi - 1 do
       let delta = darr.(di) in
+      let budget = Budget.create node_budget in
       (* qsens-check: disable=C001 — each chunk fills a disjoint [lo, hi) slice *)
-      results.(di) <- point ?pool ?scratch delta di
+      results.(di) <-
+        (try
+           point_of_eval ~center ~delta
+             (Sweep.Bnb.eval ~budget ~scratch bnb ~delta)
+         with Budget.Exhausted _ ->
+           (* qsens-check: disable=C001 — each chunk fills a disjoint [lo, hi) slice *)
+           fell.(di) <- true;
+           let gtc, witness = gtc_at_full_fractional ~plans ~initial delta in
+           { delta; gtc; witness })
     done
   in
   (match pool with
   | Some p when Pool.domains p > 1 && nd > 1 ->
-      (* Chunk over grid points; the searches inside each chunk run
-         sequentially (pools are not reentrant).  Results are identical
-         either way — only the node counts differ between sharded and
-         sequential searches.  No shared scratch here: a Bnb.Scratch is
-         single-owner state and the chunks run on distinct domains. *)
-      Pool.parallel_for_chunked p ~n:nd (fun lo hi -> fill lo hi)
-  | Some p when Pool.domains p > 1 -> fill ~pool:p 0 nd
+      (* Chunk over grid points, one scratch per chunk: a
+         Bnb.Scratch is single-owner state and the chunks run on
+         distinct domains.  Results are identical to the sequential
+         sweep. *)
+      Pool.parallel_for_chunked p ~n:nd (fun lo hi ->
+          fill ~scratch:(Sweep.Bnb.Scratch.create ()) lo hi)
   | _ ->
-      (* One scratch for the whole sequential sweep: the node-pool
-         engine refills the flat spec tables per delta and allocates
-         nothing per search node — same results and budget trip points
-         as the classic engine. *)
+      (* One scratch for the whole sweep: the node-pool engine refills
+         the flat spec tables per delta and allocates nothing per search
+         node. *)
       fill ~scratch:(Sweep.Bnb.Scratch.create ()) 0 nd);
-  let fallbacks = Array.fold_left (fun a f -> if f then a + 1 else a) 0 fell in
-  Obs.add m_budget_fallbacks fallbacks;
+  Obs.add m_budget_fallbacks (count_fell fell);
   Obs.add m_curve_points nd;
-  (Array.to_list results, fallbacks)
+  (results, fell)
 
-(* ------------------------------------------------------------------ *)
-(* Legacy path: a linear-fractional program per (plan, delta) cell.
-   High-dimension fallback, and the pre-kernel baseline the sweep
-   benchmark reports speedups against. *)
-
-let curve_legacy ?(deltas = default_deltas) ?pool ~plans ~initial () =
-  let np = Array.length plans in
-  match pool with
-  | Some p when Pool.domains p > 1 && np > 0 && deltas <> [] ->
-      (* Parallelize over the flattened plans x deltas space: every
-         (delta, plan) cell is an independent linear-fractional program.
-         The per-delta argmax then reduces in plan-index order, so each
-         point is bit-identical to the sequential computation. *)
-      let center = ones_center ~initial in
-      let darr = Array.of_list deltas in
-      let nd = Array.length darr in
-      let boxes = Array.map (fun delta -> Box.around center ~delta) darr in
-      let results = Array.make (nd * np) (neg_infinity, [||]) in
-      Pool.parallel_for_chunked p ~n:(nd * np) (fun lo hi ->
-          for t = lo to hi - 1 do
-            let di = t / np and pi = t mod np in
-            (* qsens-lint: disable=P001; qsens-check: disable=C001 — chunks cover disjoint index ranges *)
-            results.(t) <-
-              Fractional.max_ratio ~num:initial ~den:plans.(pi) boxes.(di)
-          done);
-      List.init nd (fun di ->
-          (* Mirrors [Framework.worst_case_gtc]: NaN ratios are counted
-             and skipped, and an all-degenerate point surfaces NaN with
-             the box center as witness — never a stale default paired
-             with neg_infinity. *)
-          let best = ref neg_infinity and witness = ref None and degen = ref 0 in
-          for pi = 0 to np - 1 do
-            let r, corner = results.((di * np) + pi) in
-            if Float.is_nan r then incr degen
-            else if r > !best then begin
-              best := r;
-              witness := Some corner
-            end
-          done;
-          Obs.add m_degenerate_ratios !degen;
-          Obs.add m_curve_points 1;
-          match !witness with
-          | Some w -> { delta = darr.(di); gtc = !best; witness = w }
-          | None ->
-              {
-                delta = darr.(di);
-                gtc = (if !degen > 0 then nan else !best);
-                witness = Box.center boxes.(di);
-              })
-  | _ ->
-      List.map
-        (fun delta ->
-          let gtc, witness = gtc_at_full_legacy ~plans ~initial delta in
-          Obs.add m_curve_points 1;
-          { delta; gtc; witness })
-        deltas
-
-(* ------------------------------------------------------------------ *)
-(* Dispatchers. *)
-
-let use_kernel ~plans ~initial =
-  Array.length plans > 0 && Sweep.supported ~dim:(Vec.dim initial)
-
-let use_bnb ~plans ~initial =
-  Array.length plans > 0 && Sweep.Bnb.supported ~dim:(Vec.dim initial)
+(* Every point of [e] over the grid, with the per-point budget-fallback
+   flags (only the branch-and-bound tier ever sets one). *)
+let run ?pool ~node_budget e darr =
+  let center = ones_center ~initial:e.initial in
+  let exact points = (points, Array.make (Array.length points) false) in
+  match e.tier with
+  | Exhaustive sweep -> exact (curve_kernel ?pool sweep ~center darr)
+  | Bnb bnb ->
+      curve_bnb ?pool ~node_budget ~plans:e.plans ~initial:e.initial bnb
+        ~center darr
+  | Fractional ->
+      exact
+        (Array.of_list
+           (curve_fractional ~deltas:(Array.to_list darr) ?pool ~plans:e.plans
+              ~initial:e.initial ()))
 
 let path_name ~dim =
   if Sweep.supported ~dim then "exhaustive sweep"
   else if Sweep.Bnb.supported ~dim then "branch-and-bound"
   else "linear-fractional fallback"
 
-let describe_path ~nd ~node_budget ~fallbacks =
-  if fallbacks = 0 then "branch-and-bound"
-  else
-    Printf.sprintf
-      "branch-and-bound (%d/%d points past the %d-node budget -> \
-       linear-fractional)"
-      fallbacks nd node_budget
+(* The evaluation path actually taken: the tier's name, with the count of
+   [what] (grid points, or per-initial searches) that fell back past the
+   node budget. *)
+let describe_path e ~what ~cells ~node_budget ~fallbacks =
+  match e.tier with
+  | Exhaustive _ -> "exhaustive sweep"
+  | Fractional -> "linear-fractional fallback"
+  | Bnb _ when fallbacks = 0 -> "branch-and-bound"
+  | Bnb _ ->
+      Printf.sprintf
+        "branch-and-bound (%d/%d %s past the %d-node budget -> \
+         linear-fractional)"
+        fallbacks cells what node_budget
 
 let gtc_at_full ?pool ?(node_budget = Limits.default_bnb_node_budget) ~plans
     ~initial delta =
-  if use_kernel ~plans ~initial then begin
-    (* Through the same Sweep tables as [curve], so a single-delta query
-       is bit-identical to the matching curve point. *)
-    let center = ones_center ~initial in
-    let sweep = Sweep.build ?pool ~plans ~initial ~center () in
-    let p = point_of_eval ~center ~delta (Sweep.eval sweep ~delta) in
-    (p.gtc, p.witness)
-  end
-  else if use_bnb ~plans ~initial then begin
-    (* Same per-point budget and fallback as [curve], so the single-delta
-       query stays bit-identical to the matching curve point even when
-       that point degraded to the fractional program. *)
-    let center = ones_center ~initial in
-    let bnb = Sweep.Bnb.build ~plans ~initial ~center () in
-    let budget = Budget.create node_budget in
-    match Sweep.Bnb.eval ?pool ~budget bnb ~delta with
-    | res ->
-        let p = point_of_eval ~center ~delta res in
-        (p.gtc, p.witness)
-    | exception Budget.Exhausted _ ->
-        Obs.add m_budget_fallbacks 1;
-        gtc_at_full_legacy ~plans ~initial delta
-  end
-  else
-    let box = Box.around (ones_center ~initial) ~delta in
-    Framework.worst_case_gtc ?pool ~plans ~a:initial box
+  (* Through the same engine as [curve], so a single-delta query is
+     bit-identical to the matching curve point, including when that
+     point degraded to the fractional program. *)
+  let e = engine ?pool ~plans ~initial () in
+  let points, _ = run ?pool ~node_budget e [| delta |] in
+  (points.(0).gtc, points.(0).witness)
 
 let gtc_at ?pool ~plans ~initial delta =
   fst (gtc_at_full ?pool ~plans ~initial delta)
 
 let curve_with_path ?(deltas = default_deltas) ?pool
     ?(node_budget = Limits.default_bnb_node_budget) ~plans ~initial () =
-  let dim = Vec.dim initial in
-  if deltas = [] then ([], path_name ~dim)
-  else if use_kernel ~plans ~initial then
-    (curve_kernel ~deltas ?pool ~plans ~initial (), "exhaustive sweep")
-  else if use_bnb ~plans ~initial then begin
-    let points, fallbacks =
-      curve_bnb ~node_budget ~deltas ?pool ~plans ~initial ()
-    in
-    (points, describe_path ~nd:(List.length deltas) ~node_budget ~fallbacks)
+  if deltas = [] then ([], path_name ~dim:(Vec.dim initial))
+  else begin
+    let e = engine ?pool ~plans ~initial () in
+    let darr = Array.of_list deltas in
+    let points, fell = run ?pool ~node_budget e darr in
+    ( Array.to_list points,
+      describe_path e ~what:"points" ~cells:(Array.length darr) ~node_budget
+        ~fallbacks:(count_fell fell) )
   end
-  else
-    ( curve_legacy ~deltas ?pool ~plans ~initial (),
-      "linear-fractional fallback" )
 
 let curve ?deltas ?pool ~plans ~initial () =
   fst (curve_with_path ?deltas ?pool ~plans ~initial ())
 
-let curve_pruned ?(deltas = default_deltas) ?pool ?node_budget ~plans ~initial
-    () =
-  if deltas = [] then []
-  else fst (curve_bnb ?node_budget ~deltas ?pool ~plans ~initial ())
+let curves_with_path ?(deltas = default_deltas) ?pool
+    ?(node_budget = Limits.default_bnb_node_budget) ~plans ~initials () =
+  if Array.length initials = 0 then
+    invalid_arg "Worst_case.curves_with_path: no initials";
+  let darr = Array.of_list deltas in
+  let nd = Array.length darr in
+  let base = engine ?pool ~plans ~initial:initials.(0) () in
+  let fallbacks = Array.make nd 0 in
+  (* Initial-outer, delta-inner: each rebound engine sweeps the whole
+     grid before the next, so a branch-and-bound scratch binds once per
+     initial. *)
+  let points =
+    Array.mapi
+      (fun i initial ->
+        let e = if i = 0 then base else rebind base ~initial in
+        let points, fell = run ?pool ~node_budget e darr in
+        Array.iteri
+          (fun di f -> if f then fallbacks.(di) <- fallbacks.(di) + 1)
+          fell;
+        points)
+      initials
+  in
+  let total = Array.fold_left ( + ) 0 fallbacks in
+  ( points,
+    fallbacks,
+    describe_path base ~what:"searches"
+      ~cells:(Array.length initials * nd)
+      ~node_budget ~fallbacks:total )
 
 let asymptote points =
   match points with

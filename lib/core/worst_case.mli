@@ -28,22 +28,22 @@ val curve :
 
     Up to {!Sweep.max_dim} dimensions the sweep builds the separable
     subset-sum tables once ({!Sweep.build}) and evaluates every delta
-    with two fused multiply-adds per (plan, vertex) — bit-identical to
-    {!curve_naive}, which rebuilds the tables at every grid point.  From
-    there up to {!Sweep.Bnb.max_dim} dimensions it switches to the
-    branch-and-bound vertex search ({!curve_pruned} — bit-identical to
-    the exhaustive path wherever both are defined) under the default
+    with two vertex values ({!Sweep.vertex_value}) per (plan, vertex).
+    From there up to {!Sweep.Bnb.max_dim} dimensions it switches to the
+    branch-and-bound vertex search ({!Sweep.Bnb} — bit-identical to the
+    exhaustive path wherever both are defined) under the default
     per-grid-point node budget ({!Limits.default_bnb_node_budget}; a
     point whose search trips it degrades to the linear-fractional
-    program for that point alone), and only beyond the pattern-bit bound
-    to the linear-fractional fallback ({!curve_legacy}) outright.
+    program for that point alone), and only beyond the pattern-bit
+    bound to the linear-fractional fallback ({!curve_fractional})
+    outright.
 
     With [?pool] the table build and the per-delta evaluations run across
     domains; ties break by lowest (plan index, vertex pattern), so every
     [(delta, gtc, witness)] triple is identical to the sequential run.
     Whether a point trips the budget is likewise pool-independent:
-    budgeted searches run sequentially, so the trip point is a pure
-    function of the inputs. *)
+    each search is sequential, so the trip point is a pure function of
+    the inputs. *)
 
 val curve_with_path :
   ?deltas:float list ->
@@ -61,47 +61,47 @@ val curve_with_path :
     per-grid-point allowance on the branch-and-bound path; it never
     affects the exhaustive-sweep or pure-fractional paths. *)
 
-val curve_pruned :
+val curves_with_path :
   ?deltas:float list ->
   ?pool:Qsens_parallel.Pool.t ->
   ?node_budget:int ->
   plans:Vec.t array ->
-  initial:Vec.t ->
+  initials:Vec.t array ->
   unit ->
-  point list
-(** The branch-and-bound path, forced: one {!Sweep.Bnb} build, then a
-    pruned vertex search per grid point.  Below {!Sweep.max_dim} every
-    [(delta, gtc, witness)] triple is bit-identical to {!curve} — the
-    qcheck cross-check in the test suite — and above it this {e is} what
-    [curve] runs.  Unbudgeted by default (the cross-checks want the pure
-    search); pass [node_budget] to get the same per-point
-    fractional-fallback degradation as [curve].  Requires at least one
-    plan and [Sweep.Bnb.supported] dimensions; raises
-    [Invalid_argument] otherwise. *)
+  point array array * int array * string
+(** [curves_with_path ~plans ~initials ()] is [(points, fallbacks,
+    path)]: [points.(i)] is the worst-case curve of [initials.(i)]
+    against [plans] over the delta grid — each bit-identical to
+    [curve ~plans ~initial:initials.(i)] — from one engine build for the
+    whole set plus a cheap numerator-only rebind per further initial
+    ({!Sweep.rebind}, {!Sweep.Bnb.rebind}).  [fallbacks.(d)] counts the
+    initials whose delta-[d] search tripped [node_budget] and fell back
+    to the linear-fractional program; [path] is as in
+    {!curve_with_path}, counting those fallbacks as "searches" out of
+    [initials * deltas].  Minimax-regret selection ({!Select}) scores
+    every candidate this way.  Raises [Invalid_argument] on an empty
+    [initials], and under the same conditions as the underlying
+    builders. *)
 
-val curve_naive :
+val point_of_eval : center:Vec.t -> delta:float -> float * int -> point
+(** [point_of_eval ~center ~delta (gtc, pattern)] turns a sweep result
+    ({!Sweep.eval}, {!Sweep.Bnb.eval}) into a curve point: the witness
+    is [Box.vertex (Box.around center ~delta) pattern], or the box
+    center when [pattern < 0] (every plan degenerate). *)
+
+val curve_fractional :
   ?deltas:float list ->
   ?pool:Qsens_parallel.Pool.t ->
   plans:Vec.t array ->
   initial:Vec.t ->
   unit ->
   point list
-(** The bit-identity reference for [curve]: rebuilds the sweep tables
-    from scratch at every delta with dominance pruning disabled.
-    Requires at least one plan and [Sweep.supported] dimensions. *)
-
-val curve_legacy :
-  ?deltas:float list ->
-  ?pool:Qsens_parallel.Pool.t ->
-  plans:Vec.t array ->
-  initial:Vec.t ->
-  unit ->
-  point list
-(** The pre-kernel sweep: one linear-fractional program per
-    (plan, delta) cell.  High-dimension fallback, and the baseline the
-    sweep benchmark measures speedups against.  Converges to the same
-    curve within the bisection tolerance but is not bit-identical to the
-    kernel path. *)
+(** The linear-fractional tier on its own: one
+    {!Framework.worst_case_gtc_fractional} per delta, no dimension gate
+    and no tables.  The high-dimension fallback, the service's
+    fractional tier, and the baseline the sweep benchmark measures
+    speedups against.  Converges to the same curve within the bisection
+    tolerance but is not bit-identical to the kernel path. *)
 
 val gtc_at :
   ?pool:Qsens_parallel.Pool.t -> plans:Vec.t array -> initial:Vec.t -> float -> float

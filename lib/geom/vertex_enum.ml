@@ -109,36 +109,22 @@ end
    fixing coordinates from the highest index down, each subtree is
    bounded by [partial + suffix completion] on both sides of the ratio,
    and subtrees whose optimistic ratio cannot beat the incumbent are
-   pruned.  The exact leaf value comes from a caller-supplied kernel, so
-   the surviving argmax is bit-identical to exhaustive enumeration with
-   the same kernel: leaves are visited in ascending pattern order with
+   pruned.  Every surviving leaf is evaluated with the exact sweep
+   kernel, so the argmax is bit-identical to exhaustive enumeration with
+   that kernel: leaves are visited in ascending pattern order with
    strict improvement, specs in ascending index order — the same
    tie-breaking as a flat scan — and the bound is inflated before the
    incumbent comparison so floating-point slack in the bound arithmetic
    can only keep subtrees, never drop a strictly-better leaf. *)
 
 module Bnb = struct
-  type spec = {
-    dim : int;
-    num_hi : float array;
-    num_lo : float array;
-    den_hi : float array;
-    den_lo : float array;
-    num_bound : float array;
-    num_bound_eq : float array;
-    den_bound : float array;
-    pinned : bool array;
-    identical : bool;
-    leaf : int -> float;
-  }
-
   type stats = { mutable nodes : int; mutable leaves : int }
 
   let fresh_stats () = { nodes = 0; leaves = 0 }
 
   (* Covers the floating-point gap between a bound computed by plain
-     summation and a leaf computed by the caller's kernel: both agree
-     with the exact value to O(dim * eps) relative — orders of magnitude
+     summation and a leaf computed by the exact kernel: both agree with
+     the exact value to O(dim * eps) relative — orders of magnitude
      below 1e-12 — so inflating the bound before comparing with the
      incumbent can only keep subtrees the exact bound would keep. *)
   let inflate = 1. +. 1e-12
@@ -148,257 +134,17 @@ module Bnb = struct
      the evaluation noise of any leaf whose exact ratio is below 1. *)
   let eq_threshold = 1. +. 1e-9
 
-  let check_spec s =
-    if s.dim < 0 || s.dim > Sys.int_size - 2 then
-      invalid_arg
-        (Printf.sprintf "Vertex_enum.Bnb: dimension %d out of range" s.dim);
-    List.iter
-      (fun (name, len) ->
-        if len <> s.dim then
-          invalid_arg
-            (Printf.sprintf
-               "Vertex_enum.Bnb: %s has length %d, expected %d" name len
-               s.dim))
-      [
-        ("num_hi", Array.length s.num_hi);
-        ("num_lo", Array.length s.num_lo);
-        ("den_hi", Array.length s.den_hi);
-        ("den_lo", Array.length s.den_lo);
-        ("num_bound", Array.length s.num_bound);
-        ("num_bound_eq", Array.length s.num_bound_eq);
-        ("den_bound", Array.length s.den_bound);
-        ("pinned", Array.length s.pinned);
-      ]
-
-  (* Dinkelbach warm start.  The bound terms are coordinate-separable,
-     so the pattern maximizing [num - lambda * den] is computed greedily
-     per coordinate; iterating [lambda := leaf value] climbs to a (near)
-     maximal leaf in a handful of rounds.  The result only seeds the
-     incumbent — correctness never depends on how good it is. *)
-  let greedy_pattern s lambda =
-    let k = ref 0 in
-    for i = 0 to s.dim - 1 do
-      if
-        s.num_hi.(i) -. (lambda *. s.den_hi.(i))
-        > s.num_lo.(i) -. (lambda *. s.den_lo.(i))
-      then k := !k lor (1 lsl i)
-    done;
-    !k
-
-  let seed_value s =
-    let best = ref neg_infinity in
-    let lambda = ref (s.leaf 0) in
-    if Float.is_finite !lambda && !lambda > 0. then best := !lambda
-    else lambda := 1.;
-    (try
-       for _ = 1 to 8 do
-         let k = greedy_pattern s !lambda in
-         let v = s.leaf k in
-         if Float.equal v infinity then begin
-           best := Float.max !best Float.max_float;
-           raise Exit
-         end;
-         if Float.is_finite v && v > !best then best := v;
-         if Float.is_nan v || v <= !lambda then raise Exit;
-         lambda := v
-       done
-     with Exit -> ());
-    !best
-
-  (* The shared incumbent seed: strictly below the best leaf value any
-     spec's warm start reached, so the true argmax leaf — whose value is
-     at least that — still strictly improves on it and is recorded with
-     its pattern.  Value-only: no pattern is attached, preserving
-     first-tie-wins exactly. *)
-  let shared_seed specs =
-    let v = Array.fold_left (fun acc s -> Float.max acc (seed_value s)) neg_infinity specs in
-    if Float.is_finite v && v > 0. then
-      Float.min (v *. (1. -. 1e-12)) (Float.pred v)
-    else neg_infinity
-
-  let eval_identical s ~si ~stats ~budget ~best ~best_pat ~best_spec =
-    Budget.spend_opt budget ~who:"Vertex_enum.Bnb" 1;
-    stats.nodes <- stats.nodes + 1;
-    stats.leaves <- stats.leaves + 1;
-    let v = s.leaf 0 in
-    if v > !best then begin
-      best := v;
-      best_pat := 0;
-      best_spec := si
-    end
-
-  (* Depth-first search below [depth0]: coordinates above it are fixed
-     in [pattern0].  The cleared branch recurses first, so leaves appear
-     in ascending pattern order. *)
-  let descend s ~si ~stats ~budget ~best ~best_pat ~best_spec ~depth0 ~pattern0
-      ~pnum0 ~pden0 =
-    let rec node depth pattern pnum pden =
-      (match budget with
-      | None -> ()
-      | Some b -> Budget.spend b ~who:"Vertex_enum.Bnb" 1);
-      stats.nodes <- stats.nodes + 1;
-      if depth < 0 then begin
-        stats.leaves <- stats.leaves + 1;
-        let v = s.leaf pattern in
-        if v > !best then begin
-          best := v;
-          best_pat := pattern;
-          best_spec := si
-        end
-      end
-      else begin
-        let nb =
-          if !best > eq_threshold then s.num_bound_eq.(depth)
-          else s.num_bound.(depth)
-        in
-        (* Cross-multiplied prune test: [(n /. d) *. inflate <= best] costs
-           a division per node, and internal nodes outnumber leaves ~1000:1
-           on deep searches.  With [d >= 0] the multiplied form decides the
-           same real inequality within 2 ulps — absorbed by [inflate]'s
-           1e-12 margin — and degenerates conservatively: [best = -inf] or
-           [d = 0] make the comparison false, so the subtree is kept.  The
-           node-pool engine uses the identical form, term for term. *)
-        if (pnum +. nb) *. inflate <= !best *. (pden +. s.den_bound.(depth))
-        then ()
-        else if s.pinned.(depth) then
-          node (depth - 1) pattern
-            (pnum +. s.num_lo.(depth))
-            (pden +. s.den_lo.(depth))
-        else begin
-          node (depth - 1) pattern
-            (pnum +. s.num_lo.(depth))
-            (pden +. s.den_lo.(depth));
-          node (depth - 1)
-            (pattern lor (1 lsl depth))
-            (pnum +. s.num_hi.(depth))
-            (pden +. s.den_hi.(depth))
-        end
-      end
-    in
-    node depth0 pattern0 pnum0 pden0
-
-  let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2)
-
-  (* Top-level branch prefixes sharded across a pool: enough tasks to
-     feed every domain about four ways, never more than 2^10 per spec. *)
-  let prefix_bits ~domains ~nspecs ~dim =
-    if domains <= 1 || dim <= 1 then 0
-    else
-      let want = ceil_log2 (max 1 (((4 * domains) + nspecs - 1) / nspecs)) in
-      min want (min (dim - 1) 10)
-
-  let search_sequential ~stats ~seed ~budget specs =
-    let best = ref seed and best_pat = ref (-1) and best_spec = ref (-1) in
-    Array.iteri
-      (fun si s ->
-        if s.identical || s.dim = 0 then
-          eval_identical s ~si ~stats ~budget ~best ~best_pat ~best_spec
-        else
-          descend s ~si ~stats ~budget ~best ~best_pat ~best_spec
-            ~depth0:(s.dim - 1) ~pattern0:0 ~pnum0:0. ~pden0:0.)
-      specs;
-    (!best, !best_pat, !best_spec)
-
-  let search_pooled p ~stats ~seed specs =
-    let domains = Pool.domains p in
-    let nspecs = Array.length specs in
-    (* Tasks in (spec, prefix) lexicographic order; the reduction below
-       folds them in that order with strict improvement, so the outcome
-       — though not the node counts, which depend on how the incumbent
-       travels — is identical to the sequential scan. *)
-    let tasks = ref [] in
-    for si = nspecs - 1 downto 0 do
-      let s = specs.(si) in
-      if s.identical || s.dim = 0 then tasks := (si, 0, 0) :: !tasks
-      else begin
-        let t = prefix_bits ~domains ~nspecs ~dim:s.dim in
-        for prefix = (1 lsl t) - 1 downto 0 do
-          tasks := (si, t, prefix) :: !tasks
-        done
-      end
-    done;
-    let tasks = Array.of_list !tasks in
-    let nt = Array.length tasks in
-    let results = Array.make nt (neg_infinity, -1, -1, 0, 0) in
-    Pool.run p
-      (Array.init nt (fun ti ->
-           fun () ->
-             let si, top, prefix = tasks.(ti) in
-             let s = specs.(si) in
-             let st = fresh_stats () in
-             let best = ref seed
-             and best_pat = ref (-1)
-             and best_spec = ref (-1) in
-             (* qsens-check: disable=C003 — budget is pinned to None in pooled tasks (spend_opt None never raises; budgeted searches run sequentially) *)
-             (if s.identical || s.dim = 0 then begin
-                eval_identical s ~si ~stats:st ~budget:None ~best ~best_pat
-                  ~best_spec
-              end
-              else begin
-                let base = s.dim - top in
-                (* Partial sums of the prefix coordinates, accumulated
-                   from the top coordinate down — the same order
-                   [descend] adds them in, hence the same bits. *)
-                let rec partial j pnum pden feasible =
-                  if j < base then (pnum, pden, feasible)
-                  else
-                    let set = (prefix lsr (j - base)) land 1 = 1 in
-                    partial (j - 1)
-                      (pnum +. if set then s.num_hi.(j) else s.num_lo.(j))
-                      (pden +. if set then s.den_hi.(j) else s.den_lo.(j))
-                      (feasible && not (set && s.pinned.(j)))
-                in
-                let pnum, pden, feasible = partial (s.dim - 1) 0. 0. true in
-                if feasible then
-                  (* qsens-check: disable=C003 — budget is pinned to None in pooled tasks (spend_opt None never raises) *)
-                  descend s ~si ~stats:st ~budget:None ~best ~best_pat
-                    ~best_spec ~depth0:(base - 1) ~pattern0:(prefix lsl base)
-                    ~pnum0:pnum ~pden0:pden
-              end);
-             (* qsens-lint: disable=P001; qsens-check: disable=C001 — each task writes only its own slot *)
-             results.(ti) <- (!best, !best_pat, !best_spec, st.nodes, st.leaves)));
-    let best = ref seed and best_pat = ref (-1) and best_spec = ref (-1) in
-    Array.iter
-      (fun (v, pat, sp, nd, lv) ->
-        stats.nodes <- stats.nodes + nd;
-        stats.leaves <- stats.leaves + lv;
-        if pat >= 0 && v > !best then begin
-          best := v;
-          best_pat := pat;
-          best_spec := sp
-        end)
-      results;
-    (!best, !best_pat, !best_spec)
-
-  let search ?pool ?stats ?budget specs =
-    let stats = match stats with Some s -> s | None -> fresh_stats () in
-    Array.iter check_spec specs;
-    if Array.length specs = 0 then (neg_infinity, -1, -1)
-    else begin
-      let seed = shared_seed specs in
-      (* A budgeted search runs sequentially even when a pool is at
-         hand: node accounting is then exact and the trip point a pure
-         function of (budget, specs), not of how the incumbent happened
-         to travel between shards. *)
-      match pool with
-      | Some p when Pool.domains p > 1 && Option.is_none budget ->
-          search_pooled p ~stats ~seed specs
-      | _ -> search_sequential ~stats ~seed ~budget specs
-    end
-
   (* ---------------------------------------------------------------- *)
-  (* Node-pool engine: the same search as [search_sequential] — same
-     visit order, same bound arithmetic, same budget spends, hence
-     bit-identical results and trip points — run over unboxed state.
-     The recursive [descend] boxes its two float arguments at every
-     call and its leaf kernel returns a boxed float; at dim 24 that is
-     hundreds of kilowords of minor-heap traffic per grid point.  Here
-     the DFS runs on an explicit, preallocated stack of parallel
-     int/floatarray columns (the "node pool"), the leaf kernel is
-     inlined into the loop (no flambda: a cross-function float return
-     would allocate), and the spec's term tables are caller-owned
-     [floatarray]s refilled in place per delta — so descending the
-     frontier allocates nothing per node. *)
+  (* The search runs over unboxed state.  A recursive descent would box
+     its two float arguments at every call and a leaf kernel returning a
+     float would box its result; at dim 24 that is hundreds of kilowords
+     of minor-heap traffic per grid point.  Here the DFS runs on an
+     explicit, preallocated stack of parallel int/floatarray columns
+     (the "node pool"), the leaf kernel is inlined into the loop (no
+     flambda: a cross-function float return would allocate), and the
+     spec's term tables are caller-owned [floatarray]s refilled in place
+     per delta — so descending the frontier allocates nothing per
+     node. *)
   module Flat = struct
     type spec = {
       dim : int;
@@ -466,9 +212,8 @@ module Bnb = struct
         st.pden <- Float.Array.make cap 0.
       end
 
-    (* Same Dinkelbach warm start as the boxed engine, term for term:
-       identical float operations on identical values, so the shared
-       seed — and with it every budget trip point — is bit-identical. *)
+    (* Exact leaf ratio at pattern [k], used by the warm start below
+       (the search loop inlines the same arithmetic). *)
     let leaf_value s k =
       let an = ref 0. and bn = ref 0. and ad = ref 0. and bd = ref 0. in
       for i = 0 to s.dim - 1 do
@@ -484,6 +229,12 @@ module Bnb = struct
       ((s.delta *. !an) +. (!bn *. s.inv))
       /. ((s.delta *. !ad) +. (!bd *. s.inv))
 
+    (* Dinkelbach warm start.  The bound terms are coordinate-separable,
+       so the pattern maximizing [num - lambda * den] is computed
+       greedily per coordinate; iterating [lambda := leaf value] climbs
+       to a (near) maximal leaf in a handful of rounds.  The result only
+       seeds the incumbent — correctness never depends on how good it
+       is. *)
     let greedy_pattern s lambda =
       let k = ref 0 in
       for i = 0 to s.dim - 1 do
@@ -514,6 +265,11 @@ module Bnb = struct
        with Exit -> ());
       !best
 
+    (* The shared incumbent seed: strictly below the best leaf value
+       any spec's warm start reached, so the true argmax leaf — whose
+       value is at least that — still strictly improves on it and is
+       recorded with its pattern.  Value-only: no pattern is attached,
+       preserving first-tie-wins exactly. *)
     let shared_seed specs =
       let v =
         Array.fold_left
@@ -575,16 +331,13 @@ module Bnb = struct
                incumbent exceeds [eq_threshold], and the incumbent only
                grows — the predicate flips at most once per search, so
                re-select the table when a leaf improves [best] instead
-               of re-testing at every node.  Per-node values are the
-               ones the boxed engine computes. *)
+               of re-testing at every node. *)
             let nb_tab = ref (if !best > eq_threshold then num_bound_eq else num_bound) in
-            (* The recursion walks its lo child immediately (pop follows
-               push), so keep the current node in locals and only spill
-               the pending hi sibling to the pool: one frame write per
-               binary branch instead of two writes and a reload.  Frames
-               still pop in the recursion's preorder, so node order —
-               and with it stats and the budget charge sequence — is
-               unchanged. *)
+            (* Preorder DFS, cleared branch first (so leaves appear in
+               ascending pattern order): the walk takes its lo child
+               immediately, so keep the current node in locals and only
+               spill the pending hi sibling to the pool — one frame
+               write per binary branch. *)
             let depth = ref (dim - 1) in
             let pattern = ref 0 in
             let pnum = ref 0. in
@@ -637,8 +390,14 @@ module Bnb = struct
               end
               else begin
                 let nb = Float.Array.unsafe_get !nb_tab d in
-                (* Same cross-multiplied prune test as the boxed engine,
-                   term for term (see [descend]). *)
+                (* Cross-multiplied prune test: [(n /. d) *. inflate <=
+                   best] costs a division per node, and internal nodes
+                   outnumber leaves ~1000:1 on deep searches.  With
+                   [d >= 0] the multiplied form decides the same real
+                   inequality within 2 ulps — absorbed by [inflate]'s
+                   1e-12 margin — and degenerates conservatively:
+                   [best = -inf] or [d = 0] make the comparison false,
+                   so the subtree is kept. *)
                 if
                   (!pnum +. nb) *. inflate
                   <= !best *. (!pden +. Float.Array.unsafe_get den_bound d)

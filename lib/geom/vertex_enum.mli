@@ -42,117 +42,66 @@ val vertices :
     subtrees that cannot beat the incumbent are pruned.  Replaces the
     [2^dim] wall of the worst-case GTC path (DESIGN.md section 12). *)
 module Bnb : sig
-  type spec = {
-    dim : int;
-    num_hi : float array;  (** numerator term of coordinate [i], bit set *)
-    num_lo : float array;  (** numerator term of coordinate [i], bit clear *)
-    den_hi : float array;  (** denominator term, bit set *)
-    den_lo : float array;  (** denominator term, bit clear *)
-    num_bound : float array;
-        (** [num_bound.(d)] bounds (from above, up to rounding covered
-            by the internal inflation) the best numerator completion
-            over free coordinates [0 .. d]:
-            [sum of max(num_hi, num_lo) over j <= d]. *)
-    num_bound_eq : float array;
-        (** The Section-5.6 complementary-pair tightening: as
-            [num_bound], but coordinates whose num and den terms are
-            bitwise equal on both sides contribute their {e min} term —
-            the analytic pin to the twin leaf that dominates whenever
-            the ratio is at least 1.  Only consulted while the incumbent
-            exceeds [1 + 1e-9]. *)
-    den_bound : float array;
-        (** [den_bound.(d)] bounds from below the least denominator
-            completion: [sum of min(den_hi, den_lo) over j <= d]. *)
-    pinned : bool array;
-        (** Coordinates whose branches are bitwise inert (e.g. zero
-            weight on both sides): never branched, fixed to the cleared
-            bit — the tie-winning lower pattern. *)
-    identical : bool;
-        (** All leaves share one value bitwise (numerator and
-            denominator kernels coincide): only pattern 0 — the
-            tie-winner — is evaluated. *)
-    leaf : int -> float;
-        (** Exact ratio at a full pattern.  This is the kernel the
-            result is bit-identical to: the search returns exactly the
-            [(value, pattern)] a flat ascending scan of [leaf] over all
-            patterns (strict improvement, NaN skipped) would return. *)
-  }
-
   type stats = { mutable nodes : int; mutable leaves : int }
-  (** Visited bound-check nodes and evaluated leaves.  Deterministic for
-      a fixed pool size; pooled runs visit more nodes than sequential
-      ones because the incumbent does not travel between shards. *)
+  (** Visited bound-check nodes and evaluated leaves.  Deterministic:
+      a pure function of the specs. *)
 
   val fresh_stats : unit -> stats
 
-  val search :
-    ?pool:Qsens_parallel.Pool.t ->
-    ?stats:stats ->
-    ?budget:Qsens_budget.Budget.t ->
-    spec array ->
-    float * int * int
-  (** [search specs] is [(value, pattern, spec_index)] of the maximal
-      leaf ratio over all specs, ties to the lowest (spec, pattern) —
-      bit-identical to scanning every [leaf] of every spec in ascending
-      order with strict improvement.  [(neg_infinity, -1, -1)] when no
-      leaf compares above [neg_infinity] (all NaN, or no specs).
-
-      The incumbent is pre-seeded with a value strictly below the best
-      leaf a per-spec Dinkelbach warm start reaches, so near-optimal
-      subtrees prune immediately; the seed carries no pattern, which
-      preserves first-tie-wins.
-
-      With [?pool], each spec's top branch prefixes become independent
-      tasks (fresh incumbent each, same shared seed) reduced in
-      (spec, prefix) order with strict improvement — the result is
-      identical to the sequential scan for any pool size.
-
-      With [?budget], every visited node charges one unit and the search
-      aborts with {!Qsens_budget.Budget.Exhausted} once the allowance is
-      spent — the cooperative checkpoint behind the graceful-degradation
-      dispatchers (DESIGN.md section 14).  A budgeted search always runs
-      sequentially, ignoring [?pool]: the trip point is then a pure
-      function of (budget, specs) rather than of incumbent travel
-      between shards. *)
-
   (** {2 Node-pool engine}
 
-      The same sequential search run over unboxed state: spec term
-      tables are caller-owned [floatarray]s refilled in place per delta,
-      the DFS runs on an explicit preallocated {!Flat.stack} instead of
+      The search runs over unboxed state: spec term tables are
+      caller-owned [floatarray]s refilled in place per delta, the DFS
+      runs on an explicit preallocated {!Flat.stack} instead of
       recursion (whose float arguments box at every call), and the leaf
       kernel is inlined — so descending the frontier allocates nothing
-      per node.  Visit order, bound arithmetic, warm-start seed and
-      budget spends are identical operation for operation to {!search}
-      without a pool, hence results {e and} budget trip points are
-      bit-identical to it. *)
+      per node. *)
   module Flat : sig
     type spec = {
       dim : int;
-      num_hi : floatarray;
-      num_lo : floatarray;
-      den_hi : floatarray;
-      den_lo : floatarray;
+      num_hi : floatarray;  (** numerator term of coordinate [i], bit set *)
+      num_lo : floatarray;  (** numerator term of coordinate [i], bit clear *)
+      den_hi : floatarray;  (** denominator term, bit set *)
+      den_lo : floatarray;  (** denominator term, bit clear *)
       num_bound : floatarray;
+          (** [num_bound.(d)] bounds (from above, up to rounding covered
+              by the internal inflation) the best numerator completion
+              over free coordinates [0 .. d]:
+              [sum of max(num_hi, num_lo) over j <= d]. *)
       num_bound_eq : floatarray;
+          (** The Section-5.6 complementary-pair tightening: as
+              [num_bound], but coordinates whose num and den terms are
+              bitwise equal on both sides contribute their {e min} term —
+              the analytic pin to the twin leaf that dominates whenever
+              the ratio is at least 1.  Only consulted while the
+              incumbent exceeds [1 + 1e-9]. *)
       den_bound : floatarray;
+          (** [den_bound.(d)] bounds from below the least denominator
+              completion: [sum of min(den_hi, den_lo) over j <= d]. *)
       pinned : bool array;
+          (** Coordinates whose branches are bitwise inert (e.g. zero
+              weight on both sides): never branched, fixed to the
+              cleared bit — the tie-winning lower pattern. *)
       wn : floatarray;
           (** Numerator leaf weights; the leaf ratio at pattern [k] is
-              [fma delta an (bn * inv) / fma delta ad (bd * inv)] with
+              [(delta * an + bn * inv) / (delta * ad + bd * inv)] with
               [an]/[bn] the ascending partial sums of [wn] over
               set/cleared bits and [ad]/[bd] likewise over [wd] — the
-              exact {!Qsens_core} sweep kernel. *)
+              exact {!Qsens_core} sweep kernel, two roundings per vertex
+              value. *)
       wd : floatarray;  (** Denominator leaf weights. *)
       mutable identical : bool;
-          (** As {!Bnb.spec.identical}: only pattern 0 is evaluated. *)
+          (** All leaves share one value bitwise (numerator and
+              denominator weights coincide): only pattern 0 — the
+              tie-winner — is evaluated. *)
       mutable delta : float;
       mutable inv : float;  (** [1 / delta], computed once by the filler. *)
     }
 
     val make_spec : dim:int -> spec
     (** All tables preallocated at [dim], zero-filled; the caller fills
-        them in place before each {!search}. *)
+        them in place before each {!search}.  Raises [Invalid_argument]
+        unless [0 <= dim <= Sys.int_size - 2] (a pattern is one int). *)
 
     type stack
     (** The preallocated node pool; grows to the largest dimension ever
@@ -167,9 +116,25 @@ module Bnb : sig
       stack:stack ->
       spec array ->
       float * int * int
-    (** Bit-identical to the sequential {!Bnb.search} on equivalent
-        specs, including budget trip points; allocates no minor-heap
-        words per visited node once [stack] has warmed up. *)
+    (** [search ~stack specs] is [(value, pattern, spec_index)] of the
+        maximal leaf ratio over all specs, ties to the lowest
+        (spec, pattern) — bit-identical to scanning every leaf of every
+        spec in ascending order with strict improvement.
+        [(neg_infinity, -1, -1)] when no leaf compares above
+        [neg_infinity] (all NaN, or no specs).
+
+        The incumbent is pre-seeded with a value strictly below the best
+        leaf a per-spec Dinkelbach warm start reaches, so near-optimal
+        subtrees prune immediately; the seed carries no pattern, which
+        preserves first-tie-wins.
+
+        With [?budget], every visited node charges one unit and the
+        search aborts with {!Qsens_budget.Budget.Exhausted} once the
+        allowance is spent — the cooperative checkpoint behind the
+        graceful-degradation dispatchers (DESIGN.md section 14).  The
+        search is sequential, so the trip point is a pure function of
+        (budget, specs).  Allocates no minor-heap words per visited
+        node once [stack] has warmed up. *)
   end
 end
 

@@ -346,15 +346,6 @@ let point_json (p : Worst_case.point) =
 
 let points_json points = Json.List (List.map point_json points)
 
-(* Reconstructs Worst_case.point_of_eval exactly: witness at the
-   attaining vertex, or the box center when every plan was degenerate. *)
-let point_of_eval ~center ~delta (gtc, pattern) =
-  let box = Box.around center ~delta in
-  let witness =
-    if pattern < 0 then Box.center box else Box.vertex box pattern
-  in
-  { Worst_case.delta; gtc; witness }
-
 (* ------------------------------------------------------------------ *)
 (* The degradation ladder.
 
@@ -385,7 +376,8 @@ let tier_exhaustive t ~allowance ~plans ~initial ~deltas =
       let sweep = sweep_for t ~plans ~initial ~center in
       List.map
         (fun delta ->
-          point_of_eval ~center ~delta (Sweep.eval ~budget:b sweep ~delta))
+          Worst_case.point_of_eval ~center ~delta
+            (Sweep.eval ~budget:b sweep ~delta))
         deltas
     with
     | points ->
@@ -409,10 +401,11 @@ let tier_bnb t ~allowance ~plans ~initial ~deltas =
       Budget.spend b ~who:"server.bnb.build" (np * dim);
       let center = Vec.make dim 1. in
       let bnb = bnb_for t ~plans ~initial ~center in
+      let scratch = Sweep.Bnb.Scratch.create () in
       List.map
         (fun delta ->
-          point_of_eval ~center ~delta
-            (Sweep.Bnb.eval ?pool:t.pool ~budget:b bnb ~delta))
+          Worst_case.point_of_eval ~center ~delta
+            (Sweep.Bnb.eval ~budget:b ~scratch bnb ~delta))
         deltas
     with
     | points ->
@@ -434,7 +427,7 @@ let tier_fractional t ~allowance ~plans ~initial ~deltas =
     None
   else
     let points =
-      Worst_case.curve_legacy ~deltas ?pool:t.pool ~plans ~initial ()
+      Worst_case.curve_fractional ~deltas ?pool:t.pool ~plans ~initial ()
     in
     Some
       {
@@ -582,14 +575,24 @@ let tier_select_bnb t ~allowance ~plans ~deltas =
               bnb_for t ~plans ~initial ~center)
             plans
         in
-        List.map
-          (fun delta ->
-            let regret =
-              Array.map
-                (fun bnb ->
-                  fst (Sweep.Bnb.eval ?pool:t.pool ~budget:b bnb ~delta))
-                searches
-            in
+        (* Candidate-outer, delta-inner, so the scratch binds once per
+           candidate.  The order of charges against the shared budget
+           does not matter: it trips iff the total exceeds the
+           allowance, and a trip abandons the whole tier. *)
+        let scratch = Sweep.Bnb.Scratch.create () in
+        let regrets =
+          Array.map
+            (fun bnb ->
+              Array.of_list
+                (List.map
+                   (fun delta ->
+                     fst (Sweep.Bnb.eval ~budget:b ~scratch bnb ~delta))
+                   deltas))
+            searches
+        in
+        List.mapi
+          (fun di delta ->
+            let regret = Array.map (fun r -> r.(di)) regrets in
             Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
               ~fallbacks:0)
           deltas
@@ -618,11 +621,19 @@ let tier_select_fractional t ~allowance ~plans ~deltas =
       let center = Vec.make dim 1. in
       let kernel = Kernel.pack plans in
       let classic = Select.classic_index ~plans in
+      let regrets =
+        Array.map
+          (fun initial ->
+            Array.of_list
+              (Worst_case.curve_fractional ~deltas ?pool:t.pool ~plans
+                 ~initial ()))
+          plans
+      in
       let points =
-        List.map
-          (fun delta ->
+        List.mapi
+          (fun di delta ->
             let regret =
-              Select.regrets_fractional ?pool:t.pool ~plans ~center delta
+              Array.map (fun r -> r.(di).Worst_case.gtc) regrets
             in
             Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
               ~fallbacks:0)

@@ -227,7 +227,7 @@ let test_k002_scoped_and_precise () =
     ~file:"lib/core/framework.ml" "let vs hs = Vertex_enum.vertices hs\n";
   check_diags "the pruned search is the sanctioned path" []
     ~file:"lib/core/worst_case.ml"
-    "let v specs = Vertex_enum.Bnb.search specs\n"
+    "let v bnb delta = Sweep.Bnb.eval bnb ~delta\n"
 
 let test_k002_suppressible () =
   check_diags "disable comment silences" []

@@ -248,9 +248,12 @@ let prop_worst_case_gtc_parallel =
     (fun (plans, delta) ->
       let m = Array.length plans.(0) in
       let box = Box.around (Vec.make m 1.) ~delta in
-      let g_seq, w_seq = Framework.worst_case_gtc ~plans ~a:plans.(0) box in
+      let g_seq, w_seq =
+        Framework.worst_case_gtc_fractional ~plans ~a:plans.(0) box
+      in
       let g_par, w_par =
-        Framework.worst_case_gtc ~pool:pool2 ~plans ~a:plans.(0) box
+        Framework.worst_case_gtc_fractional ~pool:pool2 ~plans ~a:plans.(0)
+          box
       in
       g_seq = g_par && same_vec w_seq w_par)
 

@@ -7,17 +7,19 @@
    + LEC provably coincides with classic over the symmetric all-ones
      center — the midpoint vector is a common positive scaling of the
      estimate;
-   + selections are bit-identical across pool sizes 1/2/3 and across the
-     exhaustive and branch-and-bound tiers wherever both are defined
-     (dims up to Limits.exhaustive_max_dim = 12);
-   + the classic candidate's regret column reproduces Worst_case.curve
-     bit-for-bit — selection is the worst-case engine pointed at each
-     candidate in turn, not a reimplementation. *)
+   + selections are bit-identical across pool sizes 1/2/3;
+   + every candidate's regret column reproduces Worst_case.curve with
+     that candidate as the initial plan bit-for-bit — selection is the
+     worst-case engine pointed at each candidate in turn, not a
+     reimplementation — and, wherever both tiers are defined (dims up
+     to Limits.exhaustive_max_dim = 12), the forced branch-and-bound
+     curve (Qsens_oracle.curve_pruned) too. *)
 
 open Qsens_core
 open Qsens_linalg
 module Pool = Qsens_parallel.Pool
 module Budget = Qsens_budget.Budget
+module Oracle = Qsens_oracle
 
 let pool1 = Pool.create ~domains:1 ()
 let pool2 = Pool.create ~domains:2 ()
@@ -90,28 +92,32 @@ let prop_lec_is_classic =
         points)
 
 (* ------------------------------------------------------------------ *)
-(* Bit-identity: engines x pool sizes, and the classic regret column
-   against the worst-case curve *)
+(* Bit-identity: every regret column against the worst-case curves of
+   that candidate, and pool sizes *)
+
+(* Candidate [i]'s regret column equals [curve ~initial:plans.(i)]'s gtc
+   column, bit for bit. *)
+let regrets_match (points : Select.point list) i curve =
+  List.for_all2
+    (fun (p : Select.point) (w : Worst_case.point) ->
+      same_float p.Select.regret.(i) w.Worst_case.gtc)
+    points curve
 
 let selection_property plans =
   let reference, ref_path = Select.curve ~deltas ~plans () in
-  let classic = Select.classic_index ~plans in
-  let wc =
-    Worst_case.curve ~deltas ~plans ~initial:plans.(classic) ()
-  in
   String.equal ref_path "exhaustive sweep"
-  && List.for_all2
-       (fun (p : Select.point) (w : Worst_case.point) ->
-         same_float p.Select.regret.(classic) w.Worst_case.gtc)
-       reference wc
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i initial ->
+            regrets_match reference i
+              (Worst_case.curve ~deltas ~plans ~initial ())
+            && regrets_match reference i
+                 (Oracle.curve_pruned ~deltas ~plans ~initial ()))
+          plans)
   && List.for_all
-       (fun engine ->
-         List.for_all
-           (fun pool ->
-             same_points reference
-               (fst (Select.curve ~deltas ?pool ~engine ~plans ())))
-           [ None; Some pool1; Some pool2; Some pool3 ])
-       [ `Auto; `Exhaustive; `Bnb ]
+       (fun pool ->
+         same_points reference (fst (Select.curve ~deltas ?pool ~plans ())))
+       [ None; Some pool1; Some pool2; Some pool3 ]
 
 let prop_select_bits =
   QCheck.Test.make ~count:40
@@ -129,21 +135,40 @@ let prop_select_bits_degenerate =
           ~degenerate:true))
     selection_property
 
-let test_dim12_tiers () =
-  (* The top of the exhaustive gate: both tiers are defined, so their
-     selections must agree bitwise — the largest case the qcheck
-     properties cannot reach cheaply. *)
-  let m = Limits.exhaustive_max_dim in
-  let rand = Random.State.make [| 41; m |] in
-  let plans =
-    Array.init 3 (fun _ ->
-        Array.init m (fun _ -> 0.1 +. Random.State.float rand 9.9))
-  in
+(* A plan set above the exhaustive gate, where the dispatcher picks the
+   branch-and-bound tier itself. *)
+let bnb_plans ~seed ~count =
+  let m = Limits.exhaustive_max_dim + 2 in
+  let rand = Random.State.make [| seed; m |] in
+  Array.init count (fun _ ->
+      Array.init m (fun _ -> 0.1 +. Random.State.float rand 9.9))
+
+let test_dim14_tiers () =
+  (* Above the exhaustive gate every regret column must still be the
+     worst-case curve of its candidate — the dispatcher's budgeted
+     branch-and-bound, and the unbudgeted forced search alike, since no
+     search trips the default budget here — at every pool size. *)
+  let plans = bnb_plans ~seed:41 ~count:3 in
   let deltas = [ 1.; 10. ] in
-  let ex, ex_path = Select.curve ~deltas ~engine:`Exhaustive ~plans () in
-  let bb, _ = Select.curve ~deltas ~engine:`Bnb ~plans () in
-  Alcotest.(check string) "path" "exhaustive sweep" ex_path;
-  Alcotest.(check bool) "dim-12 tiers bit-identical" true (same_points ex bb)
+  let points, path = Select.curve ~deltas ~plans () in
+  Alcotest.(check string) "path" "branch-and-bound" path;
+  Array.iteri
+    (fun i initial ->
+      Alcotest.(check bool)
+        (Printf.sprintf "candidate %d == Worst_case.curve" i)
+        true
+        (regrets_match points i (Worst_case.curve ~deltas ~plans ~initial ()));
+      Alcotest.(check bool)
+        (Printf.sprintf "candidate %d == forced search" i)
+        true
+        (regrets_match points i
+           (Oracle.curve_pruned ~deltas ~plans ~initial ())))
+    plans;
+  List.iter
+    (fun pool ->
+      Alcotest.(check bool) "pool-independent" true
+        (same_points points (fst (Select.curve ~deltas ~pool ~plans ()))))
+    [ pool1; pool2; pool3 ]
 
 (* ------------------------------------------------------------------ *)
 (* A hand-built case where minimax penalty separates from classic *)
@@ -171,17 +196,20 @@ let test_minimax_beats_classic () =
     (same_points [ p ] points)
 
 let test_budget_fallback_cells () =
-  (* A one-node budget trips every branch-and-bound search; each cell
-     degrades to the linear-fractional program alone and the path says
-     so.  The answers stay exact — fractional is an exact tier. *)
-  let exact = Select.select ~plans:hedge_plans ~delta:10. () in
-  let points, path =
-    Select.curve ~deltas:[ 10. ] ~engine:`Bnb ~node_budget:1
-      ~plans:hedge_plans ()
-  in
+  (* Above the exhaustive gate, a one-node budget trips every
+     branch-and-bound search; each cell degrades to the
+     linear-fractional program alone and the path says so.  The answers
+     stay exact — fractional is an exact tier. *)
+  let plans = bnb_plans ~seed:43 ~count:4 in
+  let exact = Select.select ~plans ~delta:10. () in
+  let points, path = Select.curve ~deltas:[ 10. ] ~node_budget:1 ~plans () in
+  Alcotest.(check string) "path"
+    "branch-and-bound (4/4 searches past the 1-node budget -> \
+     linear-fractional)"
+    path;
   match points with
   | [ p ] ->
-      Alcotest.(check bool) "cells fell back" true (p.Select.fallbacks > 0);
+      Alcotest.(check int) "every cell fell back" 4 p.Select.fallbacks;
       Alcotest.(check bool) "path names the fallback" true
         (let needle = "linear-fractional" in
          let n = String.length needle and h = String.length path in
@@ -193,9 +221,11 @@ let test_budget_fallback_cells () =
         p.Select.minimax;
       Array.iteri
         (fun i r ->
-          Alcotest.(check (float 1e-9))
+          let e = exact.Select.regret.(i) in
+          Alcotest.(check bool)
             (Printf.sprintf "regret %d within fractional tolerance" i)
-            exact.Select.regret.(i) r)
+            true
+            (Float.abs (r -. e) <= 1e-9 *. Float.max 1. (Float.abs e)))
         p.Select.regret
   | _ -> Alcotest.fail "expected one point"
 
@@ -241,18 +271,6 @@ let test_gates () =
     (Invalid_argument "Select.curve: plan 1 has dimension 3, expected 2")
     (fun () ->
       ignore (Select.curve ~plans:[| [| 1.; 2. |]; [| 1.; 2.; 3. |] |] ()));
-  let over = Limits.exhaustive_max_dim + 1 in
-  let plans = [| Array.make over 1. |] in
-  Alcotest.check_raises "forced exhaustive past the gate"
-    (Invalid_argument
-       (Limits.exhaustive_gate_message ~who:"Sweep.build" ~dim:over))
-    (fun () -> ignore (Select.curve ~engine:`Exhaustive ~plans ()));
-  let over_bnb = Limits.bnb_max_dim + 1 in
-  let plans = [| Array.make over_bnb 1. |] in
-  Alcotest.check_raises "forced bnb past the gate"
-    (Invalid_argument
-       (Limits.bnb_gate_message ~who:"Sweep.Bnb.build" ~dim:over_bnb))
-    (fun () -> ignore (Select.curve ~engine:`Bnb ~plans ()));
   Alcotest.check_raises "expected_costs sub-1 delta"
     (Invalid_argument "Select.expected_costs: delta < 1") (fun () ->
       ignore
@@ -277,7 +295,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_select_bits;
           QCheck_alcotest.to_alcotest prop_select_bits_degenerate;
-          Alcotest.test_case "dim-12 tiers" `Quick test_dim12_tiers;
+          Alcotest.test_case "dim-14 tiers" `Quick test_dim14_tiers;
         ] );
       ( "degradation",
         [

@@ -1,16 +1,17 @@
 (* Tier-1 tests for the flat cost kernel (Qsens_linalg.Kernel) and the
    separable delta-sweep cache (Qsens_core.Sweep).
 
-   The load-bearing property is *bit-identity*: the kernel-path
-   [Worst_case.curve] / [Framework.worst_case_gtc] must agree with their
-   naive references down to the last IEEE bit — same gtc, same witness
-   vertex, same argmax ties — sequentially and under pools of 1, 2 and 3
-   domains, including all-degenerate NaN plan sets. *)
+   The load-bearing property is *bit-identity*: [Worst_case.curve] and
+   the branch-and-bound search must agree with their references in
+   test/support (Qsens_oracle) down to the last IEEE bit — same gtc,
+   same witness vertex, same argmax ties — sequentially and under pools
+   of 1, 2 and 3 domains, including all-degenerate NaN plan sets. *)
 
 open Qsens_core
 open Qsens_linalg
 open Qsens_geom
 module Pool = Qsens_parallel.Pool
+module Oracle = Qsens_oracle
 
 let pool1 = Pool.create ~domains:1 ()
 let pool2 = Pool.create ~domains:2 ()
@@ -226,14 +227,12 @@ let same_points ps qs =
 
 let curve_property plans =
   let initial = plans.(0) in
-  let reference = Worst_case.curve_naive ~deltas ~plans ~initial () in
+  let reference = Oracle.curve_naive ~deltas ~plans ~initial () in
   same_points reference (Worst_case.curve ~deltas ~plans ~initial ())
   && List.for_all
        (fun pool ->
          same_points reference
-           (Worst_case.curve ~deltas ~pool ~plans ~initial ())
-         && same_points reference
-              (Worst_case.curve_naive ~deltas ~pool ~plans ~initial ()))
+           (Worst_case.curve ~deltas ~pool ~plans ~initial ()))
        [ pool1; pool2; pool3 ]
   (* Single-delta queries must return the matching curve point bits. *)
   && List.for_all
@@ -244,17 +243,37 @@ let curve_property plans =
          same_float g g' && same_vec w w')
        reference
 
+(* The kernel's single-point query against the brute-force vertex scan.
+   The two sum in different orders ([delta * A + B / delta] against
+   per-coordinate products), so values agree within rounding rather
+   than bitwise, and on exact ties (e.g. the initial plan optimal at
+   every vertex) they may name different attaining vertices — hence the
+   check that the kernel's witness attains the scan's value. *)
 and gtc_property plans =
   let a = plans.(0) in
   let m = Array.length plans.(0) in
+  let close x y =
+    Float.equal x y
+    || (Float.is_nan x && Float.is_nan y)
+    || Float.abs (x -. y) <= 1e-12 *. Float.max 1. (Float.abs x)
+  in
+  let ratio_at w =
+    Array.fold_left
+      (fun acc p ->
+        let r = Vec.dot a w /. Vec.dot p w in
+        if Float.is_nan acc || r > acc then r else acc)
+      nan plans
+  in
   List.for_all
     (fun delta ->
       let box = Box.around (Vec.make m 1.) ~delta in
-      let g, w = Framework.worst_case_gtc_naive ~plans ~a box in
+      let g, _ = Oracle.worst_case_gtc ~plans ~a box in
       List.for_all
         (fun pool ->
-          let g', w' = Framework.worst_case_gtc ?pool ~plans ~a box in
-          same_float g g' && same_vec w w')
+          let g', w' = Worst_case.gtc_at_full ?pool ~plans ~initial:a delta in
+          close g g'
+          && (if Float.is_nan g then same_vec (Box.center box) w'
+              else close g (ratio_at w')))
         [ None; Some pool1; Some pool2; Some pool3 ])
     [ 1.; 10.; 1000. ]
 
@@ -288,6 +307,27 @@ let prop_worst_case_gtc_bits_degenerate =
           ~degenerate:true))
     gtc_property
 
+(* The fractional tier reduces each point's per-plan programs through
+   Framework.worst_case_gtc_fractional, whose pooled reduce is
+   left-biased: every pool size must reproduce the cell-by-cell oracle
+   bit for bit, degenerate points included. *)
+let fractional_property plans =
+  let initial = plans.(0) in
+  let reference = Oracle.curve_fractional_cells ~deltas ~plans ~initial () in
+  List.for_all
+    (fun pool ->
+      same_points reference
+        (Worst_case.curve_fractional ~deltas ?pool ~plans ~initial ()))
+    [ None; Some pool1; Some pool2; Some pool3 ]
+
+let prop_fractional_bits =
+  QCheck.Test.make ~count:30
+    ~name:"curve_fractional == per-cell oracle, pools 1/2/3"
+    (QCheck.make
+       (gen_plan_set ~dim_lo:2 ~dim_hi:5 ~plans_lo:2 ~plans_hi:8
+          ~degenerate:true))
+    fractional_property
+
 let test_all_degenerate () =
   (* Every plan zero-usage and a zero initial: NaN gtc with the box
      center as witness, on both paths, every pool size. *)
@@ -303,7 +343,7 @@ let test_all_degenerate () =
     (same_vec (Box.center box) p.Worst_case.witness)
 
 (* ------------------------------------------------------------------ *)
-(* Branch-and-bound path (Sweep.Bnb / Worst_case.curve_pruned) *)
+(* Branch-and-bound path (Sweep.Bnb) *)
 
 let test_bnb_golden_node_count () =
   (* Same Section-4 style example as the golden tables; initial = plan 1,
@@ -355,8 +395,8 @@ let test_limit_gates () =
       ignore (Sweep.Bnb.build ~plans:[| initial |] ~initial ~center ()))
 
 (* Messy (non-ones) centers: the pruned argmax must reproduce the
-   exhaustive bits at every delta and pool size — including delta = 1,
-   where both paths take the collapsed-box shortcut. *)
+   exhaustive bits at every delta — including delta = 1, where both
+   paths take the collapsed-box shortcut. *)
 let bnb_eval_property (plans, center) =
   let initial = plans.(0) in
   let sweep = Sweep.build ~plans ~initial ~center () in
@@ -364,20 +404,19 @@ let bnb_eval_property (plans, center) =
   List.for_all
     (fun delta ->
       let g, k = Sweep.eval sweep ~delta in
-      List.for_all
-        (fun pool ->
-          let g', k' = Sweep.Bnb.eval ?pool bnb ~delta in
-          (same_float g g' || (Float.is_nan g && Float.is_nan g')) && k = k')
-        [ None; Some pool1; Some pool2; Some pool3 ])
+      let g', k' = Sweep.Bnb.eval bnb ~delta in
+      (same_float g g' || (Float.is_nan g && Float.is_nan g')) && k = k')
     deltas
 
+(* The forced branch-and-bound curve against the dispatcher, which
+   picks the exhaustive tier at these dimensions: gtc and witnesses,
+   at every pool size. *)
 let bnb_curve_property plans =
   let initial = plans.(0) in
-  let reference = Worst_case.curve ~deltas ~plans ~initial () in
+  let pruned = Oracle.curve_pruned ~deltas ~plans ~initial () in
   List.for_all
     (fun pool ->
-      same_points reference
-        (Worst_case.curve_pruned ~deltas ?pool ~plans ~initial ()))
+      same_points pruned (Worst_case.curve ~deltas ?pool ~plans ~initial ()))
     [ None; Some pool1; Some pool2; Some pool3 ]
 
 let gen_plan_set_center ~dim_lo ~dim_hi ~plans_lo ~plans_hi ~degenerate =
@@ -391,7 +430,7 @@ let gen_plan_set_center ~dim_lo ~dim_hi ~plans_lo ~plans_hi ~degenerate =
 
 let prop_bnb_eval_bits =
   QCheck.Test.make ~count:60
-    ~name:"Sweep.Bnb: eval == exhaustive eval, messy centers, pools 1/2/3"
+    ~name:"Sweep.Bnb: eval == exhaustive eval, messy centers"
     (QCheck.make
        (gen_plan_set_center ~dim_lo:2 ~dim_hi:10 ~plans_lo:2 ~plans_hi:10
           ~degenerate:false))
@@ -465,34 +504,42 @@ let prop_grid_bits_degenerate =
           ~degenerate:true))
     grid_property
 
-(* One Bnb scratch reused across every delta and both checks, as the
-   curve sweep does: the node-pool engine must match the classic search
-   on gtc, pattern AND the (nodes, leaves) honesty counters — an
-   engine that visits a different tree is wrong even when the argmax
-   agrees. *)
+(* A Bnb scratch carries state between searches, so results must not
+   depend on its history: a cold search (fresh scratch), a warm one (a
+   scratch reused across every delta, as the curve sweep does) and one
+   whose scratch was last bound to a different search (rebound every
+   call, as when several candidates share a scratch) must agree with the
+   exhaustive eval on gtc and pattern, and with each other on the
+   (nodes, leaves) honesty counters — a search that visits a different
+   tree is wrong even when the argmax agrees. *)
 let bnb_scratch_property (plans, center) =
   let initial = plans.(0) in
   let sweep = Sweep.build ~plans ~initial ~center () in
   let bnb = Sweep.Bnb.build ~plans ~initial ~center () in
-  let scratch = Sweep.Bnb.Scratch.create () in
+  let other =
+    Sweep.Bnb.rebind bnb ~initial:plans.(Array.length plans - 1)
+  in
+  let warm = Sweep.Bnb.Scratch.create () in
+  let shared = Sweep.Bnb.Scratch.create () in
+  let same_res (g, k) (g', k') =
+    (same_float g g' || (Float.is_nan g && Float.is_nan g')) && k = k'
+  in
   List.for_all
     (fun delta ->
-      let g, k = Sweep.eval sweep ~delta in
-      let (gc, kc), (nodes_c, leaves_c) =
-        Sweep.Bnb.eval_with_stats bnb ~delta
+      let ex = Sweep.eval sweep ~delta in
+      let cold, cold_stats = Sweep.Bnb.eval_with_stats bnb ~delta in
+      let hot, hot_stats = Sweep.Bnb.eval_with_stats ~scratch:warm bnb ~delta in
+      ignore (Sweep.Bnb.eval ~scratch:shared other ~delta);
+      let re, re_stats =
+        Sweep.Bnb.eval_with_stats ~scratch:shared bnb ~delta
       in
-      let (gf, kf), (nodes_f, leaves_f) =
-        Sweep.Bnb.eval_with_stats ~scratch bnb ~delta
-      in
-      (same_float g gc || (Float.is_nan g && Float.is_nan gc))
-      && k = kc
-      && (same_float gc gf || (Float.is_nan gc && Float.is_nan gf))
-      && kc = kf && nodes_c = nodes_f && leaves_c = leaves_f)
+      same_res ex cold && same_res cold hot && same_res cold re
+      && cold_stats = hot_stats && cold_stats = re_stats)
     deltas
 
 let prop_bnb_scratch_bits =
   QCheck.Test.make ~count:60
-    ~name:"Sweep.Bnb: node-pool engine == classic == exhaustive"
+    ~name:"Sweep.Bnb: warm, cold and rebound scratch == exhaustive"
     (QCheck.make
        (gen_plan_set_center ~dim_lo:2 ~dim_hi:10 ~plans_lo:2 ~plans_hi:10
           ~degenerate:false))
@@ -506,12 +553,13 @@ let prop_bnb_scratch_bits_degenerate =
           ~degenerate:true))
     bnb_scratch_property
 
-let test_budget_trip_point_identity () =
-  (* The node-pool engine must charge budget units in exactly the
-     classic engine's order: for every allowance from zero past the
-     unbudgeted node count, both engines either trip with identical
-     Exhausted payloads and identical spend, or finish with identical
-     results and identical spend. *)
+let test_budget_trip_point () =
+  (* Every visited node charges one unit, so with N the unbudgeted node
+     count: for every allowance from zero past N, a budgeted search
+     raises Exhausted exactly when the allowance is below N, having
+     spent its whole allowance; otherwise it spends exactly N and its
+     answer is the unbudgeted one, bit for bit — with a cold scratch and
+     with a warm one alike. *)
   let module B = Qsens_budget.Budget in
   let plans =
     [| [| 1.; 4.; 2.; 7. |]; [| 5.; 1.; 1.; 2. |]; [| 2.; 2.; 2.; 2. |] |]
@@ -519,27 +567,41 @@ let test_budget_trip_point_identity () =
   let initial = plans.(0) in
   let center = [| 1.; 2.; 0.5; 3. |] in
   let bnb = Sweep.Bnb.build ~plans ~initial ~center () in
-  let scratch = Sweep.Bnb.Scratch.create () in
+  let warm = Sweep.Bnb.Scratch.create () in
   let run ?scratch ~allowance ~delta () =
     let budget = B.create allowance in
     let outcome =
       match Sweep.Bnb.eval ?scratch ~budget bnb ~delta with
-      | g, k -> Ok (g, k)
-      | exception B.Exhausted { who; limit; asked } ->
-          Error (who, limit, asked)
+      | res -> Some res
+      | exception B.Exhausted _ -> None
     in
     (outcome, B.spent budget)
   in
   List.iter
     (fun delta ->
-      let _, (nodes, _) = Sweep.Bnb.eval_with_stats bnb ~delta in
+      let (g, k), (nodes, _) = Sweep.Bnb.eval_with_stats bnb ~delta in
+      Alcotest.(check bool)
+        (Printf.sprintf "delta %g searches" delta)
+        true (nodes > 0);
       for allowance = 0 to nodes + 1 do
-        let classic = run ~allowance ~delta () in
-        let flat = run ~scratch ~allowance ~delta () in
-        Alcotest.(check bool)
-          (Printf.sprintf "delta %g allowance %d" delta allowance)
-          true
-          (classic = flat)
+        List.iter
+          (fun (label, scratch) ->
+            let what =
+              Printf.sprintf "delta %g allowance %d %s" delta allowance label
+            in
+            match run ?scratch ~allowance ~delta () with
+            | None, spent ->
+                Alcotest.(check bool) (what ^ ": trips below N") true
+                  (allowance < nodes);
+                Alcotest.(check int) (what ^ ": spends the allowance")
+                  allowance spent
+            | Some (g', k'), spent ->
+                Alcotest.(check bool) (what ^ ": finishes from N") true
+                  (allowance >= nodes);
+                Alcotest.(check int) (what ^ ": spends N") nodes spent;
+                Alcotest.check check_bits (what ^ ": gtc") g g';
+                Alcotest.(check int) (what ^ ": pattern") k k')
+          [ ("cold", None); ("warm", Some warm) ]
       done)
     [ 1.; 2.; 100. ]
 
@@ -631,7 +693,7 @@ let test_bnb_beyond_exhaustive () =
     (Worst_case.path_name ~dim:m);
   let deltas = [ 1.; 10.; 1000. ] in
   let pruned = Worst_case.curve ~deltas ~plans ~initial () in
-  let legacy = Worst_case.curve_legacy ~deltas ~plans ~initial () in
+  let legacy = Worst_case.curve_fractional ~deltas ~plans ~initial () in
   List.iter2
     (fun (p : Worst_case.point) (q : Worst_case.point) ->
       Alcotest.(check bool)
@@ -650,7 +712,7 @@ let test_curve_matches_legacy () =
   let plans = [| [| 1.; 4.; 2. |]; [| 5.; 1.; 1. |]; [| 2.; 2.; 2. |] |] in
   let initial = plans.(0) in
   let kernel = Worst_case.curve ~plans ~initial () in
-  let legacy = Worst_case.curve_legacy ~plans ~initial () in
+  let legacy = Worst_case.curve_fractional ~plans ~initial () in
   List.iter2
     (fun (p : Worst_case.point) (q : Worst_case.point) ->
       Alcotest.check check_bits "same delta" q.delta p.delta;
@@ -699,6 +761,7 @@ let () =
           prop_bnb_eval_bits_degenerate;
           prop_bnb_curve_bits;
           prop_bnb_curve_bits_degenerate;
+          prop_fractional_bits;
         ];
       qsuite "incremental"
         [
@@ -709,8 +772,8 @@ let () =
         ];
       ( "budget",
         [
-          Alcotest.test_case "node-pool trip point == classic" `Quick
-            test_budget_trip_point_identity;
+          Alcotest.test_case "trip point at the node count" `Quick
+            test_budget_trip_point;
         ] );
       ( "near-tie",
         [
