@@ -1247,16 +1247,20 @@ let bench_highdim () =
 
 (* ------------------------------------------------------------------ *)
 (* Unboxed-kernel benchmark: the incremental grid evaluator
-   (Sweep.eval_grid) and the node-pool branch-and-bound
-   (Sweep.Bnb.eval ~scratch), each checked bitwise before it is timed —
-   the grid against per-point eval, the warm-scratch search against a
-   cold one (results and node counts).
+   (Sweep.eval_grid), the node-pool branch-and-bound
+   (Sweep.Bnb.eval ~scratch) and the optimizer's per-probe re-costing of
+   a prepared plan space (Optimizer.best on Q8, same-device layout),
+   each checked bitwise before it is timed — the grid against per-point
+   eval, the warm-scratch search against a cold one (results and node
+   counts), the optimizer against the memo DP (signature, usage and
+   cost bits).
 
    Besides time, the part records allocation — minor and major words
-   per grid point, via Obs.measure_alloc — and gates on it: the grid
-   path must allocate exactly zero minor words per point in steady
-   state, and the node-pool search no more than its ceiling below.  The
-   gate runs at every size, so `--smoke` (CI) enforces it too. *)
+   per grid point or probe, via Obs.measure_alloc — and gates on it: the
+   grid path must allocate exactly zero minor words per point in steady
+   state, the node-pool search and the optimizer no more than their
+   ceilings below.  The gate runs at every size, so `--smoke` (CI)
+   enforces it too. *)
 
 (* Steady-state minor words per 17-point grid of the node-pool search
    (572.18 and 172.41 words per point), as measured when this absolute
@@ -1264,6 +1268,16 @@ let bench_highdim () =
    engines: the result pair and per-delta bookkeeping, nothing per
    node.  The gate fails on any increase. *)
 let bnb_minor_words_per_grid ~smoke = if smoke then 2931 else 9727
+
+(* Steady-state minor words per Q8 optimizer probe on a prepared plan
+   space (23760.25 averaged over the 4 smoke probes, 26534.41 over the
+   17 full ones), as measured when the prepared space replaced the memo
+   DP, which allocated 79.7M words per call.  What remains is building
+   the winning plan through the Node constructors and float boxing in
+   the ~230 near-tie settlements per probe; the re-costing pass over the
+   303k alternatives allocates nothing, so the ceiling does not grow with
+   them.  The gate fails on any increase. *)
+let optimizer_minor_words_per_probe ~smoke = if smoke then 23760 else 26534
 
 (* Interleaved best-of: alternate the paths round-robin within every
    round and keep per-path minima, so thermal or scheduler drift over
@@ -1289,7 +1303,7 @@ let interleaved ~rounds ~reps fs =
   Array.init n (fun i -> (best.(i), sum.(i) /. Float.of_int rounds))
 
 let bench_kernel () =
-  heading "Unboxed kernels: incremental grid and node-pool search";
+  heading "Unboxed kernels: incremental grid, node-pool search, optimizer";
   let curve_dim, bnb_dim, plan_count, rounds, reps =
     if !sweep_smoke then (8, 10, 8, 3, 2) else (12, 24, 24, 12, 2)
   in
@@ -1353,10 +1367,55 @@ let bench_kernel () =
               delta %g"
              delta))
     deltas;
-  let times = interleaved ~rounds ~reps [| run_grid; run_flat |] in
+  (* --- workload 3: re-costing Q8's prepared plan space --- *)
+  let env =
+    Qsens_plan.Env.make ~schema ~policy:Qsens_catalog.Layout.Same_device ()
+  in
+  let q8 = Qsens_tpch.Queries.find ~sf "Q8" in
+  let prepared = Qsens_optimizer.Optimizer.prepare env q8 in
+  let base = Qsens_cost.Defaults.base_costs env.Qsens_plan.Env.space in
+  let ost = Random.State.make [| 8 |] in
+  let probes =
+    Array.init (if !sweep_smoke then 4 else nd) (fun i ->
+        if i = 0 then base
+        else
+          Array.map
+            (fun c -> c *. Float.pow 10. (Random.State.float ost 8. -. 4.))
+            base)
+  in
+  let np = Array.length probes in
+  let results = Array.make np None in
+  let run_opt () =
+    Array.iteri
+      (fun i costs ->
+        results.(i) <- Some (Qsens_optimizer.Optimizer.best prepared ~costs))
+      probes
+  in
+  run_opt ();
+  Array.iteri
+    (fun i costs ->
+      let (m : Qsens_optimizer.Optimizer.result) =
+        Qsens_oracle.optimize_memo env q8 ~costs
+      in
+      match results.(i) with
+      | Some (r : Qsens_optimizer.Optimizer.result)
+        when r.signature = m.signature
+             && bits r.total_cost = bits m.total_cost
+             && Array.for_all2
+                  (fun a b -> bits a = bits b)
+                  r.plan.Qsens_plan.Node.usage m.plan.Qsens_plan.Node.usage ->
+          ()
+      | _ ->
+          failwith
+            (Printf.sprintf
+               "kernel optimizer: Q8 probe %d differs from the memo DP" i))
+    probes;
+  let times = interleaved ~rounds ~reps [| run_grid; run_flat; run_opt |] in
   let curve_t, curve_mean = times.(0) and bnb_t, bnb_mean = times.(1) in
+  let opt_t, opt_mean = times.(2) in
   let _, curve_minor, curve_major = Obs.measure_alloc ~n:nd run_grid in
   let _, bnb_minor, bnb_major = Obs.measure_alloc ~n:nd run_flat in
+  let _, opt_minor, opt_major = Obs.measure_alloc ~n:np run_opt in
   let bnb_ceiling =
     Float.of_int (bnb_minor_words_per_grid ~smoke:!sweep_smoke)
     /. Float.of_int nd
@@ -1381,6 +1440,13 @@ let bench_kernel () =
   row
     (Printf.sprintf "bnb dim=%d plans=%d" bnb_dim plan_count)
     "node-pool" bnb_t bnb_mean bnb_minor bnb_major bnb_ceiling;
+  row
+    (Printf.sprintf "optimizer Q8 same-device, %d probes" np)
+    "prepared"
+    (opt_t /. Float.of_int np)
+    (opt_mean /. Float.of_int np)
+    opt_minor opt_major
+    (Float.of_int (optimizer_minor_words_per_probe ~smoke:!sweep_smoke));
   Table_r.print t;
   Printf.printf
     "(grid=%d interleaved best-of-%d x%d; grid kernel bit-identical to \
@@ -1410,7 +1476,16 @@ let bench_kernel () =
     ~extra:
       (Printf.sprintf " \"nodes\": %d, \"leaves\": %d," !total_nodes
          !total_leaves)
-    ~last:true;
+    ~last:false;
+  Printf.fprintf oc
+    "  \"optimizer\": {\n    \"query\": \"Q8\", \"layout\": \"same\", \"probes\": \
+     %d, \"path\": \"prepared\",\n    \"best_s_per_probe\": %.6f, \
+     \"mean_s_per_probe\": %.6f, \"minor_words_per_probe\": %.2f, \
+     \"major_words_per_probe\": %.2f, \"minor_gate_per_probe\": %d\n  }\n"
+    np (opt_t /. Float.of_int np)
+    (opt_mean /. Float.of_int np)
+    opt_minor opt_major
+    (optimizer_minor_words_per_probe ~smoke:!sweep_smoke);
   output_string oc "}\n";
   close_out oc;
   Printf.printf "[wrote %s]\n" path;
@@ -1435,6 +1510,14 @@ let bench_kernel () =
       "kernel gate: node-pool search allocates %.2f minor words per point, \
        more than its ceiling of %.2f\n"
       bnb_minor bnb_ceiling;
+    exit 1
+  end;
+  let opt_ceiling = optimizer_minor_words_per_probe ~smoke:!sweep_smoke in
+  if Float.round opt_minor > Float.of_int opt_ceiling then begin
+    Printf.eprintf
+      "kernel gate: the optimizer allocates %.2f minor words per Q8 probe, \
+       more than its ceiling of %d\n"
+      opt_minor opt_ceiling;
     exit 1
   end
 

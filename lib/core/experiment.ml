@@ -75,9 +75,10 @@ let effective_active s usage =
     (Groups.effective_usage s.groups ~base_costs:s.base ~usage)
 
 let white_box_oracle s =
+  let prepared = Optimizer.prepare s.env s.query in
   Oracle.make ~dim:(Projection.active_dim s.proj) ~probe:(fun theta ->
       let costs = expand_theta s theta in
-      let r = Optimizer.optimize s.env s.query ~costs in
+      let r = Optimizer.best prepared ~costs in
       (r.signature, effective_active s r.plan.Node.usage))
 
 let narrow_oracle ?(seed = 23) ?faults ?retry ?breaker s ~box =

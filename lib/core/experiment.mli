@@ -50,6 +50,8 @@ val expand_theta : setup -> Vec.t -> Vec.t
     vector (inactive groups pinned at multiplier 1). *)
 
 val white_box_oracle : setup -> Oracle.t
+(** Probes our optimizer directly.  The oracle holds one
+    {!Optimizer.prepared} plan space, built on its first probe. *)
 
 val narrow_oracle :
   ?seed:int ->

@@ -10,7 +10,7 @@ let m_repins =
 
 type t = {
   env : Env.t;
-  query : Query.t;
+  prepared : Optimizer.prepared;
   seen : (string, Node.t) Hashtbl.t;
   (* The costs under which each signature was first produced.  Models the
      client keeping its original EXPLAIN handle: it survives plan-cache
@@ -27,7 +27,7 @@ let recost_site = "narrow.recost"
 let create ?faults env query =
   {
     env;
-    query;
+    prepared = Optimizer.prepare env query;
     seen = Hashtbl.create 16;
     origin = Hashtbl.create 16;
     faults;
@@ -41,7 +41,7 @@ let explain t ~costs =
   t.calls <- t.calls + 1;
   Obs.add m_explains 1;
   Obs.with_span "narrow.explain" @@ fun () ->
-  let r = Optimizer.optimize t.env t.query ~costs in
+  let r = Optimizer.best t.prepared ~costs in
   match Fault.apply_opt t.faults ~site:explain_site r.total_cost with
   | Error `Failed ->
       (* a failed call teaches the client nothing: no caching *)

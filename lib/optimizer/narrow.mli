@@ -23,7 +23,9 @@ type t
 
 val create : ?faults:Fault.injector -> Env.t -> Query.t -> t
 (** Without [faults], every call succeeds and answers exactly (the
-    legacy behaviour, with [result] types that are always [Ok]). *)
+    legacy behaviour, with [result] types that are always [Ok]).  The
+    interface holds one {!Optimizer.prepared} plan space, built on the
+    first {!explain}. *)
 
 val dim : t -> int
 (** Dimension of the resource cost vectors the interface accepts. *)

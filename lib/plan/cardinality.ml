@@ -3,10 +3,18 @@ open Qsens_catalog
 type t = {
   schema : Schema.t;
   query : Query.t;
-  cache : (string, float) Hashtbl.t;
+  bits : (string, int) Hashtbl.t;  (** alias -> its bit in a cache key *)
+  cache : (int, float) Hashtbl.t;  (** alias-set bit mask -> estimate *)
 }
 
-let make schema query = { schema; query; cache = Hashtbl.create 64 }
+let make schema query =
+  if List.length query.Query.relations > Sys.int_size then
+    invalid_arg "Cardinality.make: more relations than bits in an int";
+  let bits = Hashtbl.create 16 in
+  List.iteri
+    (fun i (r : Query.relation) -> Hashtbl.replace bits r.alias (1 lsl i))
+    query.Query.relations;
+  { schema; query; bits; cache = Hashtbl.create 64 }
 
 let base_rows t alias =
   let r = Query.relation t.query alias in
@@ -28,8 +36,10 @@ let join_selectivity t (j : Query.join) =
       let ndv_r = column_ndv t j.right j.right_col in
       1. /. Float.max 1. (Float.max ndv_l ndv_r)
 
+(* The cache is keyed by alias set; the estimate is the product in the
+   order of the first call for that set. *)
 let rec of_aliases t aliases =
-  let key = String.concat "," (List.sort String.compare aliases) in
+  let key = List.fold_left (fun m a -> m lor Hashtbl.find t.bits a) 0 aliases in
   match Hashtbl.find_opt t.cache key with
   | Some card -> card
   | None ->
@@ -50,5 +60,5 @@ and compute t aliases =
     (fun acc j -> acc *. join_selectivity t j)
     rows internal_edges
 
-let matches_per_probe t ~outer:_ ~inner j =
+let matches_per_probe t ~inner j =
   base_rows t inner *. join_selectivity t j

@@ -14,6 +14,8 @@ open Qsens_catalog
 type t
 
 val make : Schema.t -> Query.t -> t
+(** Raises [Invalid_argument] for a query over more than [Sys.int_size]
+    relations. *)
 
 val base_rows : t -> string -> float
 (** Table cardinality of the alias, before predicates. *)
@@ -27,7 +29,7 @@ val join_selectivity : t -> Query.join -> float
 val of_aliases : t -> string list -> float
 (** Estimated row count of the join over the given aliases. *)
 
-val matches_per_probe : t -> outer:string list -> inner:string -> Query.join -> float
+val matches_per_probe : t -> inner:string -> Query.join -> float
 (** Expected rows fetched from [inner] per outer row when probing through
     the single edge [join] (before applying [inner]'s local predicates and
     any other connecting edges): [base_rows inner * join_selectivity]. *)

@@ -50,12 +50,26 @@ module Acc = struct
   type nonrec t = { space : Space.t; v : Vec.t }
 
   let create (env : Env.t) = { space = env.space; v = Space.zero_usage env.space }
-  let of_vec (env : Env.t) v = { space = env.space; v = Vec.copy v }
+
+  (* Accumulate into [into], starting from a copy of [v]. *)
+  let over (env : Env.t) ~into v =
+    if Array.length v <> Array.length into then
+      invalid_arg "Node: usage vector of the wrong dimension";
+    Array.blit v 0 into 0 (Array.length v);
+    { space = env.space; v = into }
+
   let seek t dev n = Space.add_usage t.space t.v (Resource.Seek dev) n
   let xfer t dev n = Space.add_usage t.space t.v (Resource.Transfer dev) n
   let cpu t n = Space.add_usage t.space t.v Resource.Cpu n
-  let add t v = Array.iteri (fun i x -> t.v.(i) <- t.v.(i) +. x) v
-  let add_scaled t k v = Array.iteri (fun i x -> t.v.(i) <- t.v.(i) +. (k *. x)) v
+  let add t v =
+    for i = 0 to Array.length v - 1 do
+      t.v.(i) <- t.v.(i) +. v.(i)
+    done
+
+  let add_scaled t k v =
+    for i = 0 to Array.length v - 1 do
+      t.v.(i) <- t.v.(i) +. (k *. v.(i))
+    done
   let vec t = t.v
 end
 
@@ -117,9 +131,12 @@ let fetch_rows ctx acc ~alias ~(index : Index.t) ~probes ~rows =
 
 let constructions = ref 0
 
+(* [aliases] must be sorted: binary operators merge their children's. *)
 let mk op ~aliases ~card ~width ~usage ~order =
   incr constructions;
-  { op; aliases = List.sort String.compare aliases; card; width; usage; order }
+  { op; aliases; card; width; usage; order }
+
+let merge_aliases a b = List.merge String.compare a b
 
 let table_scan ctx alias =
   let env = ctx.env in
@@ -193,21 +210,61 @@ let access_paths ctx alias =
   let indexes = Schema.indexes_of ctx.env.schema r.table in
   table_scan ctx alias :: List.filter_map (index_scan ctx alias) indexes
 
+(* Usage without construction.  Each join, sort and aggregation
+   constructor is a [*_usage] function — the operator's usage, written
+   into a buffer from its inputs' usage and their cost-independent
+   properties — plus the plan node around that usage.  Re-costing an
+   operator over other inputs of the same properties calls the same
+   function, so it repeats the constructor's float operations exactly. *)
+
+let block_nlj_rescans env ~outer_card ~outer_width =
+  let outer_pages = pages_of_rows outer_card outer_width in
+  Float.max 1. (Float.round (outer_pages /. env.Env.sort_heap_pages +. 0.5))
+
+let block_nlj_usage ctx ~outer_card ~outer_width ~inner_card ~card outer inner ~into =
+  let acc = Acc.over ctx.env ~into outer in
+  Acc.add_scaled acc (block_nlj_rescans ctx.env ~outer_card ~outer_width) inner;
+  Acc.cpu acc ((outer_card *. inner_card *. cpu_pair) +. (card *. Defaults.cpu_join_output))
+
 let block_nlj ctx ~outer ~inner =
-  let env = ctx.env in
-  let acc = Acc.of_vec env outer.usage in
-  let outer_pages = pages_of_rows outer.card outer.width in
-  let rescans = Float.max 1. (Float.round (outer_pages /. env.sort_heap_pages +. 0.5)) in
-  Acc.add_scaled acc rescans inner.usage;
   let card =
     Cardinality.of_aliases ctx.est (outer.aliases @ inner.aliases)
   in
-  Acc.cpu acc ((outer.card *. inner.card *. cpu_pair) +. (card *. Defaults.cpu_join_output));
+  let usage = Space.zero_usage ctx.env.space in
+  block_nlj_usage ctx ~outer_card:outer.card ~outer_width:outer.width
+    ~inner_card:inner.card ~card outer.usage inner.usage ~into:usage;
+  let rescans =
+    block_nlj_rescans ctx.env ~outer_card:outer.card ~outer_width:outer.width
+  in
   mk
     (Block_nlj { outer; inner; rescans })
-    ~aliases:(outer.aliases @ inner.aliases)
-    ~card ~width:(outer.width + inner.width) ~usage:(Acc.vec acc)
-    ~order:outer.order
+    ~aliases:(merge_aliases outer.aliases inner.aliases)
+    ~card ~width:(outer.width + inner.width) ~usage ~order:outer.order
+
+let index_nlj_usage ctx ~outer_card ~inner_alias (idx : Index.t) (j : Query.join)
+    ~index_only ~card outer ~into =
+  let env = ctx.env in
+  let r = Query.relation ctx.query inner_alias in
+  let tbl = Env.table env r.table in
+  let probes = Float.max 1. outer_card in
+  let per_probe = Cardinality.matches_per_probe ctx.est ~inner:inner_alias j in
+  let matched = probes *. per_probe in
+  let acc = Acc.over env ~into outer in
+  let idev = Env.index_dev env r.table in
+  let leaf = Index.leaf_pages idx tbl in
+  let leaf_refs =
+    probes
+    *. Float.max 1.
+         (per_probe *. Float.of_int (Index.entry_width idx tbl)
+         /. Float.of_int Table.page_capacity)
+  in
+  let leaf_io = Yao.io_pages ~pages:leaf ~buffer:env.buffer_pages leaf_refs in
+  Acc.seek acc idev leaf_io;
+  Acc.xfer acc idev leaf_io;
+  Acc.cpu acc (probes *. Defaults.cpu_index_probe);
+  if not index_only then
+    fetch_rows ctx acc ~alias:inner_alias ~index:idx ~probes ~rows:matched;
+  Acc.cpu acc (card *. Defaults.cpu_join_output)
 
 let index_nlj ctx ~outer ~inner_alias (idx : Index.t) (j : Query.join) =
   let env = ctx.env in
@@ -224,67 +281,67 @@ let index_nlj ctx ~outer ~inner_alias (idx : Index.t) (j : Query.join) =
     let tbl = Env.table env r.table in
     let needed = needed_columns ctx inner_alias in
     let index_only = Index.covers idx needed in
-    let probes = Float.max 1. outer.card in
-    let per_probe = Cardinality.matches_per_probe ctx.est ~outer:outer.aliases ~inner:inner_alias j in
-    let matched = probes *. per_probe in
-    let acc = Acc.of_vec env outer.usage in
-    let idev = Env.index_dev env r.table in
-    let leaf = Index.leaf_pages idx tbl in
-    let leaf_refs =
-      probes
-      *. Float.max 1.
-           (per_probe *. Float.of_int (Index.entry_width idx tbl)
-           /. Float.of_int Table.page_capacity)
-    in
-    let leaf_io = Yao.io_pages ~pages:leaf ~buffer:env.buffer_pages leaf_refs in
-    Acc.seek acc idev leaf_io;
-    Acc.xfer acc idev leaf_io;
-    Acc.cpu acc (probes *. Defaults.cpu_index_probe);
-    if not index_only then
-      fetch_rows ctx acc ~alias:inner_alias ~index:idx ~probes ~rows:matched;
     let card =
       Cardinality.of_aliases ctx.est (inner_alias :: outer.aliases)
     in
-    Acc.cpu acc (card *. Defaults.cpu_join_output);
+    let usage = Space.zero_usage env.space in
+    index_nlj_usage ctx ~outer_card:outer.card ~inner_alias idx j ~index_only
+      ~card outer.usage ~into:usage;
     let inner_width =
       if index_only then Index.entry_width idx tbl else Table.row_width tbl
     in
     Some
       (mk
          (Index_nlj { outer; inner_alias; index = idx; join = j; index_only })
-         ~aliases:(inner_alias :: outer.aliases)
-         ~card ~width:(outer.width + inner_width) ~usage:(Acc.vec acc)
-         ~order:outer.order)
+         ~aliases:(merge_aliases [ inner_alias ] outer.aliases)
+         ~card ~width:(outer.width + inner_width) ~usage ~order:outer.order)
   end
 
-let hash_join ctx ~build ~probe =
+let hash_join_usage ctx ~build_card ~build_width ~probe_card ~probe_width ~card
+    build probe ~into =
   let env = ctx.env in
-  let acc = Acc.of_vec env build.usage in
-  Acc.add acc probe.usage;
-  let build_pages = pages_of_rows build.card build.width in
-  let probe_pages = pages_of_rows probe.card probe.width in
+  let acc = Acc.over env ~into build in
+  Acc.add acc probe;
+  let build_pages = pages_of_rows build_card build_width in
+  let probe_pages = pages_of_rows probe_card probe_width in
   let spilled = build_pages > env.sort_heap_pages in
   if spilled then begin
     let tdev = Env.temp_dev env in
     let spill = build_pages +. probe_pages in
     Acc.xfer acc tdev (2. *. spill);
     Acc.seek acc tdev (Float.max 2. (2. *. spill /. seq_extent));
-    Acc.cpu acc ((build.card +. probe.card) *. Defaults.cpu_row)
+    Acc.cpu acc ((build_card +. probe_card) *. Defaults.cpu_row)
   end;
-  let card = Cardinality.of_aliases ctx.est (build.aliases @ probe.aliases) in
   Acc.cpu acc
-    ((build.card *. Defaults.cpu_hash_build)
-    +. (probe.card *. Defaults.cpu_hash_probe)
+    ((build_card *. Defaults.cpu_hash_build)
+    +. (probe_card *. Defaults.cpu_hash_probe)
     +. (card *. Defaults.cpu_join_output));
+  spilled
+
+let hash_join ctx ~build ~probe =
+  let card = Cardinality.of_aliases ctx.est (build.aliases @ probe.aliases) in
+  let usage = Space.zero_usage ctx.env.space in
+  let spilled =
+    hash_join_usage ctx ~build_card:build.card ~build_width:build.width
+      ~probe_card:probe.card ~probe_width:probe.width ~card build.usage
+      probe.usage ~into:usage
+  in
   mk
     (Hash_join { build; probe; spilled })
-    ~aliases:(build.aliases @ probe.aliases)
-    ~card ~width:(build.width + probe.width) ~usage:(Acc.vec acc) ~order:None
+    ~aliases:(merge_aliases build.aliases probe.aliases)
+    ~card ~width:(build.width + probe.width) ~usage ~order:None
 
 let sorted_on node alias col =
   match node.order with
   | Some (a, c) -> a = alias && c = col
   | None -> false
+
+let merge_join_usage ctx ~left_card ~right_card ~card left right ~into =
+  let acc = Acc.over ctx.env ~into left in
+  Acc.add acc right;
+  Acc.cpu acc
+    (((left_card +. right_card) *. Defaults.cpu_row)
+    +. (card *. Defaults.cpu_join_output))
 
 let merge_join ctx ~left ~right (j : Query.join) =
   let ok =
@@ -293,27 +350,23 @@ let merge_join ctx ~left ~right (j : Query.join) =
   in
   if not ok then None
   else begin
-    let env = ctx.env in
-    let acc = Acc.of_vec env left.usage in
-    Acc.add acc right.usage;
     let card = Cardinality.of_aliases ctx.est (left.aliases @ right.aliases) in
-    Acc.cpu acc
-      (((left.card +. right.card) *. Defaults.cpu_row)
-      +. (card *. Defaults.cpu_join_output));
+    let usage = Space.zero_usage ctx.env.space in
+    merge_join_usage ctx ~left_card:left.card ~right_card:right.card ~card
+      left.usage right.usage ~into:usage;
     Some
       (mk
          (Merge_join { left; right })
-         ~aliases:(left.aliases @ right.aliases)
-         ~card ~width:(left.width + right.width) ~usage:(Acc.vec acc)
-         ~order:left.order)
+         ~aliases:(merge_aliases left.aliases right.aliases)
+         ~card ~width:(left.width + right.width) ~usage ~order:left.order)
   end
 
-let sort ctx ~key input =
+let sort_usage ctx ~card ~width input ~into =
   let env = ctx.env in
-  let acc = Acc.of_vec env input.usage in
-  let pages = pages_of_rows input.card input.width in
+  let acc = Acc.over env ~into input in
+  let pages = pages_of_rows card width in
   let spilled = pages > env.sort_heap_pages in
-  let n = Float.max 2. input.card in
+  let n = Float.max 2. card in
   Acc.cpu acc (n *. (Float.log n /. Float.log 2.) *. Defaults.cpu_sort_compare);
   if spilled then begin
     let tdev = Env.temp_dev env in
@@ -325,34 +378,44 @@ let sort ctx ~key input =
     Acc.xfer acc tdev (2. *. pages *. passes);
     Acc.seek acc tdev
       (Float.max (2. *. runs *. passes) (2. *. pages *. passes /. seq_extent));
-    Acc.cpu acc (passes *. input.card *. Defaults.cpu_row)
+    Acc.cpu acc (passes *. card *. Defaults.cpu_row)
   end;
+  spilled
+
+let sort ctx ~key input =
+  let usage = Space.zero_usage ctx.env.space in
+  let spilled =
+    sort_usage ctx ~card:input.card ~width:input.width input.usage ~into:usage
+  in
   mk
     (Sort { input; key; spilled })
-    ~aliases:input.aliases ~card:input.card ~width:input.width
-    ~usage:(Acc.vec acc) ~order:key
+    ~aliases:input.aliases ~card:input.card ~width:input.width ~usage
+    ~order:key
 
-let group_agg ctx ~hash ~groups input =
+(* The input is already sorted when [hash] is false. *)
+let group_agg_usage ctx ~hash ~groups ~card ~width input ~into =
   let env = ctx.env in
-  let input, spilled, order =
-    if hash then begin
-      let group_pages = pages_of_rows groups input.width in
-      (input, group_pages > env.sort_heap_pages, None)
-    end
-    else (sort ctx ~key:None input, false, None)
-  in
-  let acc = Acc.of_vec env input.usage in
-  if hash && spilled then begin
+  let acc = Acc.over env ~into input in
+  let spilled = hash && pages_of_rows groups width > env.sort_heap_pages in
+  if spilled then begin
     let tdev = Env.temp_dev env in
-    let pages = pages_of_rows input.card input.width in
+    let pages = pages_of_rows card width in
     Acc.xfer acc tdev (2. *. pages);
     Acc.seek acc tdev (Float.max 2. (2. *. pages /. seq_extent))
   end;
-  Acc.cpu acc (input.card *. Defaults.cpu_agg_row);
+  Acc.cpu acc (card *. Defaults.cpu_agg_row);
+  spilled
+
+let group_agg ctx ~hash ~groups input =
+  let input = if hash then input else sort ctx ~key:None input in
+  let usage = Space.zero_usage ctx.env.space in
+  let spilled =
+    group_agg_usage ctx ~hash ~groups ~card:input.card ~width:input.width
+      input.usage ~into:usage
+  in
   mk
     (Group_agg { input; hash; spilled })
-    ~aliases:input.aliases ~card:groups ~width:input.width
-    ~usage:(Acc.vec acc) ~order
+    ~aliases:input.aliases ~card:groups ~width:input.width ~usage ~order:None
 
 let finalize_variants ctx node =
   let grouped =
@@ -376,6 +439,35 @@ let finalize ctx node =
         else node
   in
   if ctx.query.order_by then sort ctx ~key:None node else node
+
+let local_usage ctx node =
+  let zero = Space.zero_usage ctx.env.space in
+  let into = Space.zero_usage ctx.env.space in
+  (match node.op with
+  | Access _ -> Array.blit node.usage 0 into 0 (Array.length into)
+  | Block_nlj { outer; inner; _ } ->
+      block_nlj_usage ctx ~outer_card:outer.card ~outer_width:outer.width
+        ~inner_card:inner.card ~card:node.card zero zero ~into
+  | Index_nlj { outer; inner_alias; index; join; index_only } ->
+      index_nlj_usage ctx ~outer_card:outer.card ~inner_alias index join
+        ~index_only ~card:node.card zero ~into
+  | Hash_join { build; probe; _ } ->
+      ignore
+        (hash_join_usage ctx ~build_card:build.card ~build_width:build.width
+           ~probe_card:probe.card ~probe_width:probe.width ~card:node.card zero
+           zero ~into
+          : bool)
+  | Merge_join { left; right } ->
+      merge_join_usage ctx ~left_card:left.card ~right_card:right.card
+        ~card:node.card zero zero ~into
+  | Sort { input; _ } ->
+      ignore (sort_usage ctx ~card:input.card ~width:input.width zero ~into : bool)
+  | Group_agg { input; hash; _ } ->
+      ignore
+        (group_agg_usage ctx ~hash ~groups:node.card ~card:input.card
+           ~width:input.width zero ~into
+          : bool));
+  into
 
 let cost p c = Vec.dot p.usage c
 

@@ -113,6 +113,42 @@ val signature : t -> string
 val cost : t -> Vec.t -> float
 (** [cost p c] is [p.usage . c]. *)
 
+(** {1 Usage without construction}
+
+    Each join and sort constructor computes its node's usage with the
+    matching function below, from its inputs' usage vectors and their
+    cost-independent properties ([*_card], [*_width]) plus the output
+    [card].  Calling the function with other input usages gives, bit for
+    bit, the usage the constructor would give the same operator over
+    inputs of those properties with those usages — without building
+    plans.  Each writes into [into] (which must not be an input); the
+    [bool] results are the [spilled] flags. *)
+
+val block_nlj_usage :
+  ctx -> outer_card:float -> outer_width:int -> inner_card:float ->
+  card:float -> Vec.t -> Vec.t -> into:Vec.t -> unit
+
+val index_nlj_usage :
+  ctx -> outer_card:float -> inner_alias:string -> Index.t -> Query.join ->
+  index_only:bool -> card:float -> Vec.t -> into:Vec.t -> unit
+
+val hash_join_usage :
+  ctx -> build_card:float -> build_width:int -> probe_card:float ->
+  probe_width:int -> card:float -> Vec.t -> Vec.t -> into:Vec.t -> bool
+
+val merge_join_usage :
+  ctx -> left_card:float -> right_card:float -> card:float -> Vec.t ->
+  Vec.t -> into:Vec.t -> unit
+
+val sort_usage : ctx -> card:float -> width:int -> Vec.t -> into:Vec.t -> bool
+
+val local_usage : ctx -> t -> Vec.t
+(** The usage [p]'s root operator adds on top of its children's: [p.usage]
+    is, in exact arithmetic, the children's usage (the inner input's
+    scaled by [rescans] in a block nested-loop join) plus this vector —
+    the usage functions above over all-zero inputs.  For an access path
+    it is the whole usage. *)
+
 val pp_explain : Format.formatter -> t -> unit
 (** Indented operator-tree rendering (an EXPLAIN facility). *)
 

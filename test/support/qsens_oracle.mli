@@ -1,10 +1,10 @@
-(** Reference implementations of the worst-case engines.
+(** Reference implementations of the worst-case engines and the optimizer.
 
-    Each oracle recomputes a {!Qsens_core.Worst_case} result the slow,
-    obvious way, so tests and benchmarks can hold the production paths
-    to it — bit for bit where the arithmetic is the same, within a
-    stated tolerance where it is not.  None of them is a production
-    path. *)
+    Each oracle recomputes a {!Qsens_core.Worst_case} or optimizer
+    result the slow, obvious way, so tests and benchmarks can hold the
+    production paths to it — bit for bit where the arithmetic is the
+    same, within a stated tolerance where it is not.  None of them is a
+    production path. *)
 
 open Qsens_linalg
 
@@ -52,3 +52,16 @@ val curve_fractional_cells :
     an all-degenerate point reported as NaN at the box center — the
     bit-identity reference for {!Qsens_core.Worst_case.curve_fractional}
     at any pool size. *)
+
+val optimize_memo :
+  ?max_bushy_side:int ->
+  Qsens_plan.Env.t ->
+  Qsens_plan.Query.t ->
+  costs:Vec.t ->
+  Qsens_optimizer.Optimizer.result
+(** The System-R DP as a memo of per-subset hash tables, rebuilt and
+    costed with [Vec.dot] on every call — the engine
+    {!Qsens_optimizer.Optimizer} replaced.  The bit-identity reference
+    for {!Qsens_optimizer.Optimizer.optimize} and
+    {!Qsens_optimizer.Optimizer.best}: same plan, same usage bits, same
+    [total_cost] bits. *)

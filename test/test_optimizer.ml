@@ -11,6 +11,8 @@ let schema = Qsens_tpch.Spec.schema ~sf
 let env policy = Env.make ~schema ~policy ()
 let query name = Qsens_tpch.Queries.find ~sf name
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let scaled_costs env ~seek ~xfer ~cpu =
   Array.map
     (function
@@ -20,17 +22,22 @@ let scaled_costs env ~seek ~xfer ~cpu =
     (Space.resources env.Env.space)
 
 let test_consistency () =
-  (* The reported total cost is exactly usage . costs. *)
+  (* The reported total cost is exactly usage . costs, at every probe of
+     one prepared space. *)
   let env = env Layout.Same_device in
-  let costs = Defaults.base_costs env.Env.space in
+  let base = Defaults.base_costs env.Env.space in
   List.iter
     (fun q ->
-      let r = Optimizer.optimize env q ~costs in
-      Alcotest.(check bool)
-        (q.Query.name ^ " cost = usage . C")
-        true
-        (Float.abs (r.total_cost -. Vec.dot r.plan.Node.usage costs)
-         <= 1e-6 *. r.total_cost))
+      let prepared = Optimizer.prepare env q in
+      List.iter
+        (fun scale ->
+          let costs = Vec.scale scale base in
+          let r = Optimizer.best prepared ~costs in
+          Alcotest.(check bool)
+            (q.Query.name ^ " cost = usage . C")
+            true
+            (same_bits r.total_cost (Vec.dot r.plan.Node.usage costs)))
+        [ 1.; 1e-3; 1e3 ])
     (Qsens_tpch.Queries.all ~sf)
 
 let test_single_table () =
@@ -189,43 +196,235 @@ let exhaustive_best env (q : Query.t) costs =
   | _ -> invalid_arg "exhaustive_best: want exactly two relations"
 
 let test_dp_matches_exhaustive () =
+  (* Both the prepared space (re-costed per probe) and the reference memo
+     DP reach the exhaustive optimum. *)
   let env = env Layout.Per_table_and_index_devices in
   let st = Random.State.make [| 11 |] in
   List.iter
     (fun qname ->
       let q = query qname in
+      let prepared = Optimizer.prepare env q in
       for _ = 1 to 8 do
         let costs =
           Array.map
             (fun c -> c *. Float.pow 10. (Random.State.float st 6. -. 3.))
             (Defaults.base_costs env.Env.space)
         in
-        let dp = Optimizer.optimize env q ~costs in
         let best = exhaustive_best env q costs in
-        Alcotest.(check bool)
-          (qname ^ ": dp = exhaustive")
-          true
-          (Float.abs (dp.total_cost -. best) <= 1e-6 *. best)
+        List.iter
+          (fun (engine, (r : Optimizer.result)) ->
+            Alcotest.(check bool)
+              (qname ^ ": " ^ engine ^ " = exhaustive")
+              true
+              (Float.abs (r.total_cost -. best) <= 1e-6 *. best))
+          [
+            ("prepared", Optimizer.best prepared ~costs);
+            ("memo", Qsens_oracle.optimize_memo env q ~costs);
+          ]
       done)
     [ "Q14"; "Q19"; "Q13"; "Q22"; "Q16" ]
+
+(* ------------------------------------------------------------------ *)
+(* Bit-identity with the reference memo DP *)
+
+let layouts =
+  [ Layout.Same_device; Layout.Per_table_devices; Layout.Per_table_and_index_devices ]
+
+let same_result (a : Optimizer.result) (b : Optimizer.result) =
+  a.signature = b.signature
+  && same_bits a.total_cost b.total_cost
+  && Array.length a.plan.Node.usage = Array.length b.plan.Node.usage
+  && Array.for_all2 same_bits a.plan.Node.usage b.plan.Node.usage
+
+let groups_of env policy =
+  Groups.make (Qsens_core.Experiment.scheme_for policy) env.Env.space
+
+(* Multipliers per cost group: log-uniform over 10^-4..10^4, a box
+   corner (each group at 10^-4 or 10^4), or all ones — the estimated
+   costs, where equal-cost plans tie most often. *)
+type theta_kind = Log_uniform | Corner | Ones
+
+let theta_of st groups = function
+  | Log_uniform ->
+      Vec.init (Groups.dim groups) (fun _ ->
+          Float.pow 10. (Random.State.float st 8. -. 4.))
+  | Corner ->
+      Vec.init (Groups.dim groups) (fun _ ->
+          if Random.State.bool st then 1e-4 else 1e4)
+  | Ones -> Groups.ones groups
+
+let test_memo_all_queries () =
+  (* One prepared space per query, layout and bushy cap, probed at the
+     estimated costs, box corners and log-uniform points. *)
+  List.iteri
+    (fun li policy ->
+      let env = env policy in
+      let groups = groups_of env policy in
+      let base = Defaults.base_costs env.Env.space in
+      let st = Random.State.make [| 17; li |] in
+      List.iter
+        (fun (q : Query.t) ->
+          List.iter
+            (fun (bushy, kinds) ->
+              let prepared = Optimizer.prepare ~max_bushy_side:bushy env q in
+              List.iter
+                (fun kind ->
+                  let theta = theta_of st groups kind in
+                  let costs = Groups.expand_costs groups ~base_costs:base ~theta in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s %s bushy %d: prepared == memo" q.name
+                       (Layout.policy_name policy) bushy)
+                    true
+                    (same_result (Optimizer.best prepared ~costs)
+                       (Qsens_oracle.optimize_memo ~max_bushy_side:bushy env q
+                          ~costs)))
+                kinds)
+            [
+              (2, [ Ones; Corner; Corner; Log_uniform; Log_uniform; Log_uniform ]);
+              (1, [ Ones; Log_uniform ]);
+              (3, [ Ones; Corner ]);
+            ])
+        (Qsens_tpch.Queries.all ~sf))
+    layouts
+
+let envs = List.map (fun policy -> (policy, env policy)) layouts
+let queries = Array.of_list (Qsens_tpch.Queries.all ~sf)
+
+let prop_memo_bits =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (int_bound (Array.length queries - 1))
+        (int_bound 2)
+        (pair (int_range 1 3) (oneofl [ Log_uniform; Corner; Ones ]))
+        int)
+  in
+  QCheck.Test.make ~count:40
+    ~name:"optimize == memo DP: signature, usage and cost bits"
+    (QCheck.make gen) (fun (qi, li, (bushy, kind), seed) ->
+      let policy, env = List.nth envs li in
+      let groups = groups_of env policy in
+      let theta = theta_of (Random.State.make [| seed |]) groups kind in
+      let costs =
+        Groups.expand_costs groups
+          ~base_costs:(Defaults.base_costs env.Env.space) ~theta
+      in
+      let q = queries.(qi) in
+      same_result
+        (Optimizer.optimize ~max_bushy_side:bushy env q ~costs)
+        (Qsens_oracle.optimize_memo ~max_bushy_side:bushy env q ~costs))
+
+(* Golden digest of the optimizer's answers — signature, usage bits and
+   total-cost bits for every query x layout x 8 seeded cost vectors —
+   generated by the memo DP before the prepared plan space replaced it.
+   The differential tests share Node's constructors with the reference;
+   this one also catches a bit change inside a constructor. *)
+let golden_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iteri
+    (fun li policy ->
+      let env = env policy in
+      let groups = groups_of env policy in
+      let base = Defaults.base_costs env.Env.space in
+      let st = Random.State.make [| 2003; li |] in
+      let thetas =
+        List.init 8 (fun _ ->
+            Vec.init (Groups.dim groups) (fun _ ->
+                Float.pow 10. (Random.State.float st 8. -. 4.)))
+      in
+      List.iter
+        (fun (q : Query.t) ->
+          let prepared = Optimizer.prepare env q in
+          List.iter
+            (fun theta ->
+              let costs = Groups.expand_costs groups ~base_costs:base ~theta in
+              let r = Optimizer.best prepared ~costs in
+              Printf.bprintf buf "%s %s %Lx" q.name r.signature
+                (Int64.bits_of_float r.total_cost);
+              Array.iter
+                (fun u -> Printf.bprintf buf " %Lx" (Int64.bits_of_float u))
+                r.plan.Node.usage;
+              Buffer.add_char buf '\n')
+            thetas)
+        (Qsens_tpch.Queries.all ~sf))
+    layouts;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_digest () =
+  let expected =
+    In_channel.with_open_text "fixtures/optimizer.digest" In_channel.input_all
+    |> String.trim
+  in
+  Alcotest.(check string) "digest" expected (golden_digest ())
+
+let test_degenerate_costs () =
+  (* All-zero costs tie every alternative; a negative or non-finite entry
+     voids the near-tie window, so every slot is settled exactly.  Either
+     way the answer is the memo DP's, bit for bit (NaN costs included). *)
+  List.iter
+    (fun policy ->
+      let env = env policy in
+      let base = Defaults.base_costs env.Env.space in
+      List.iter
+        (fun qname ->
+          let q = query qname in
+          let prepared = Optimizer.prepare env q in
+          List.iter
+            (fun (what, costs) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s %s" qname (Layout.policy_name policy) what)
+                true
+                (same_result (Optimizer.best prepared ~costs)
+                   (Qsens_oracle.optimize_memo env q ~costs)))
+            [
+              ("zero", Vec.zero (Array.length base));
+              ("negative", Array.mapi (fun i c -> if i = 0 then -.c else c) base);
+              ("nan", Array.mapi (fun i c -> if i = 1 then nan else c) base);
+              ("infinite", Array.mapi (fun i c -> if i = 1 then infinity else c) base);
+            ])
+        [ "Q3"; "Q5"; "Q14" ])
+    [ Layout.Same_device; Layout.Per_table_and_index_devices ]
+
+let test_costs_validated () =
+  let env = env Layout.Per_table_devices in
+  let prepared = Optimizer.prepare env (query "Q3") in
+  let base = Defaults.base_costs env.Env.space in
+  List.iter
+    (fun (what, costs) ->
+      match Optimizer.best prepared ~costs with
+      | _ -> Alcotest.failf "%s cost vector accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("shorter", Array.sub base 0 (Array.length base - 1));
+      ("longer", Array.append base [| 1. |]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Narrow interface *)
 
 let test_narrow_explain_matches_white_box () =
-  let env = env Layout.Same_device in
-  let q = query "Q3" in
-  let narrow = Narrow.create env q in
-  let costs = Defaults.base_costs env.Env.space in
-  let signature, cost =
-    match Narrow.explain narrow ~costs with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "fault-free explain cannot fail"
-  in
-  let r = Optimizer.optimize env q ~costs in
-  Alcotest.(check string) "same plan" r.signature signature;
-  Alcotest.(check bool) "same cost" true
-    (Float.abs (cost -. r.total_cost) <= 1e-9 *. cost)
+  let env = env Layout.Per_table_and_index_devices in
+  let groups = groups_of env Layout.Per_table_and_index_devices in
+  let base = Defaults.base_costs env.Env.space in
+  let st = Random.State.make [| 3 |] in
+  List.iter
+    (fun qname ->
+      let q = query qname in
+      let narrow = Narrow.create env q in
+      List.iter
+        (fun kind ->
+          let theta = theta_of st groups kind in
+          let costs = Groups.expand_costs groups ~base_costs:base ~theta in
+          let signature, cost =
+            match Narrow.explain narrow ~costs with
+            | Ok r -> r
+            | Error _ -> Alcotest.fail "fault-free explain cannot fail"
+          in
+          let r = Qsens_oracle.optimize_memo env q ~costs in
+          Alcotest.(check string) "same plan" r.signature signature;
+          Alcotest.(check bool) "same cost" true (same_bits cost r.total_cost))
+        [ Ones; Corner; Log_uniform; Log_uniform; Log_uniform ])
+    [ "Q3"; "Q9"; "Q14" ]
 
 let test_narrow_recost () =
   let env = env Layout.Same_device in
@@ -272,6 +471,16 @@ let () =
           Alcotest.test_case "dp matches exhaustive" `Slow
             test_dp_matches_exhaustive;
           Alcotest.test_case "empty query" `Quick test_no_relations_fails;
+          Alcotest.test_case "costs validated" `Quick test_costs_validated;
+        ] );
+      ( "bit-identity",
+        [
+          Alcotest.test_case "prepared == memo, all queries and layouts" `Slow
+            test_memo_all_queries;
+          QCheck_alcotest.to_alcotest prop_memo_bits;
+          Alcotest.test_case "golden digest" `Slow test_golden_digest;
+          Alcotest.test_case "degenerate costs == memo" `Quick
+            test_degenerate_costs;
         ] );
       ( "narrow",
         [

@@ -199,7 +199,12 @@ let k002_scope = k001_scope
    cold paths of these files (builders, validation) stay free. *)
 let k003_scope file =
   List.mem (normalize file)
-    [ "lib/core/sweep.ml"; "lib/linalg/kernel.ml"; "lib/geom/vertex_enum.ml" ]
+    [
+      "lib/core/sweep.ml";
+      "lib/linalg/kernel.ml";
+      "lib/geom/vertex_enum.ml";
+      "lib/optimizer/optimizer.ml";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Longident helpers *)
