@@ -215,6 +215,9 @@ let get_str req key = Option.bind (Json.member key req) Json.to_str
 let get_int req key = Option.bind (Json.member key req) Json.to_int
 let get_float req key = Option.bind (Json.member key req) Json.to_float
 
+let ( let* ) = Result.bind
+let malformed m = Error (Malformed m)
+
 let get_deltas req =
   match Json.member "deltas" req with
   | Some v -> (
@@ -225,8 +228,9 @@ let get_deltas req =
             else None)
       with
       | Some ds when ds <> [] && List.for_all (fun d -> d >= 1.) ds -> Ok ds
-      | Some _ -> Error "\"deltas\" must be a non-empty array of numbers >= 1"
-      | None -> Error "\"deltas\" must be an array of numbers")
+      | Some _ ->
+          malformed "\"deltas\" must be a non-empty array of numbers >= 1"
+      | None -> malformed "\"deltas\" must be an array of numbers")
   | None -> (
       match get_float req "delta" with
       | Some d when d >= 1. ->
@@ -234,10 +238,29 @@ let get_deltas req =
             (List.filter
                (fun x -> x <= d *. 1.0001)
                Worst_case.default_deltas)
-      | Some _ -> Error "\"delta\" must be >= 1"
+      | Some _ -> malformed "\"delta\" must be >= 1"
       | None -> Ok Worst_case.default_deltas)
 
-(* The analysis parameters every worst_case/candidates request shares. *)
+(* A present-but-unusable field is a client error, never a silent
+   fallback to the default. *)
+let get_budget t req =
+  match Json.member "budget" req with
+  | None -> Ok t.config.default_budget
+  | Some v -> (
+      match Json.to_int v with
+      | Some b when b >= 1 -> Ok b
+      | Some _ | None -> malformed "\"budget\" must be a positive integer")
+
+let get_sf req =
+  match Json.member "sf" req with
+  | None -> Ok 100.
+  | Some v -> (
+      match Json.to_float v with
+      | Some sf when Float.is_finite sf && sf > 0. -> Ok sf
+      | Some _ | None -> malformed "\"sf\" must be a finite number > 0")
+
+(* The analysis parameters every worst_case/select/candidates request
+   shares. *)
 type target = {
   query_name : string;
   policy : Layout.policy;
@@ -249,21 +272,22 @@ type target = {
 
 let get_target t req =
   match get_str req "query" with
-  | None -> Error "missing \"query\""
-  | Some query_name -> (
+  | None -> malformed "missing \"query\""
+  | Some query_name ->
       let layout = Option.value ~default:"same" (get_str req "layout") in
-      match policy_of_string layout with
-      | Error m -> Error m
-      | Ok policy ->
-          Ok
-            {
-              query_name;
-              policy;
-              policy_name = Layout.policy_name policy;
-              sf = Option.value ~default:100. (get_float req "sf");
-              seed = Option.value ~default:t.config.seed (get_int req "seed");
-              max_probes = get_int req "max_probes";
-            })
+      let* policy =
+        Result.map_error (fun m -> Malformed m) (policy_of_string layout)
+      in
+      let* sf = get_sf req in
+      Ok
+        {
+          query_name;
+          policy;
+          policy_name = Layout.policy_name policy;
+          sf;
+          seed = Option.value ~default:t.config.seed (get_int req "seed");
+          max_probes = get_int req "max_probes";
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Cached building blocks.
@@ -281,13 +305,24 @@ let setup_for t (tg : target) =
     Printf.sprintf "%.17g|%s|%s" tg.sf tg.policy_name tg.query_name
   in
   match Hashtbl.find_opt t.setups key with
-  | Some s -> s
-  | None ->
-      let query = Qsens_tpch.Queries.find ~sf:tg.sf tg.query_name in
-      let schema = Qsens_tpch.Spec.schema ~sf:tg.sf in
-      let s = Experiment.setup ~schema ~policy:tg.policy query in
-      Hashtbl.replace t.setups key s;
-      s
+  | Some s -> Ok s
+  | None -> (
+      match Qsens_tpch.Queries.find ~sf:tg.sf tg.query_name with
+      | exception Not_found ->
+          malformed (Printf.sprintf "unknown query %S" tg.query_name)
+      | exception Invalid_argument m ->
+          (* The query texts are fixed, so only the request's scale
+             factor can make one invalid (a tiny sf pushes join
+             selectivities past 1): a client error, not a failure that
+             counts against the breaker. *)
+          malformed
+            (Printf.sprintf "\"sf\" %g is out of range for %s: %s" tg.sf
+               tg.query_name m)
+      | query ->
+          let schema = Qsens_tpch.Spec.schema ~sf:tg.sf in
+          let s = Experiment.setup ~schema ~policy:tg.policy query in
+          Hashtbl.replace t.setups key s;
+          Ok s)
 
 let candidates_for t (tg : target) s ~delta_max =
   let key =
@@ -331,6 +366,29 @@ let bnb_for t ~plans ~initial ~center =
       Lru.put t.bnb_cache key b;
       b
 
+(* The request prefix worst_case and select share. *)
+type analysis = {
+  tg : target;
+  deltas : float list;
+  allowance : int;
+  dim : int;
+  cands : Candidates.result;
+  plans : Vec.t array;
+}
+
+let get_analysis t req =
+  let* tg = get_target t req in
+  let* deltas = get_deltas req in
+  let* allowance = get_budget t req in
+  let* s = setup_for t tg in
+  let delta_max = List.fold_left Float.max 1. deltas in
+  let cands = candidates_for t tg s ~delta_max in
+  let plans =
+    Array.of_list (List.map (fun p -> p.Candidates.eff) cands.Candidates.plans)
+  in
+  let dim = Projection.active_dim s.Experiment.proj in
+  Ok { tg; deltas; allowance; dim; cands; plans }
+
 (* ------------------------------------------------------------------ *)
 (* Point encoding *)
 
@@ -346,14 +404,33 @@ let point_json (p : Worst_case.point) =
 
 let points_json points = Json.List (List.map point_json points)
 
+let select_point_json (p : Select.point) =
+  Json.Obj
+    [
+      ("delta", Json.num p.delta);
+      ("classic", Json.num (Float.of_int p.classic));
+      ("lec", Json.num (Float.of_int p.lec));
+      ("minimax", Json.num (Float.of_int p.minimax));
+      ("expected", vec_json p.expected);
+      ("regret", vec_json p.regret);
+      ("fallbacks", Json.num (Float.of_int p.fallbacks));
+    ]
+
+let select_points_json points = Json.List (List.map select_point_json points)
+
 (* ------------------------------------------------------------------ *)
 (* The degradation ladder.
 
-   Each tier runs under a fresh budget of the request's allowance; a
-   budget trip abandons the whole tier (any partial results are
-   discarded so a response is never half one tier, half another).  The
-   Monte-Carlo floor divides the allowance across curve points and can
-   always answer. *)
+   Both analysis ops walk the same tiers over an array of initial plans:
+   worst_case passes the classic plan alone, select passes every
+   candidate (candidate [i]'s worst-case GTC is its regret).  Each exact
+   tier runs under a fresh budget of the request's allowance, charges
+   per initial, builds (or fetches) every table before evaluating any,
+   and answers one curve point per (delta, initial); a budget trip
+   abandons the whole tier, so a response is never half one tier, half
+   another.  Only rendering an answer and the Monte-Carlo floor, which
+   divides the allowance across deltas and can always answer, are per
+   op. *)
 
 type evaluated = {
   points : Json.t;
@@ -363,481 +440,247 @@ type evaluated = {
   confidence : Json.t option;
 }
 
-let tier_exhaustive t ~allowance ~plans ~initial ~deltas =
-  let dim = Vec.dim initial in
-  let np = Array.length plans in
-  if np = 0 || not (Sweep.supported ~dim) then None
-  else
-    let b = Budget.create allowance in
-    match
-      (* Table build charged up front, hit or miss alike. *)
-      Budget.spend b ~who:"server.sweep.build" (np * (1 lsl dim));
-      let center = Vec.make dim 1. in
-      let sweep = sweep_for t ~plans ~initial ~center in
-      List.map
-        (fun delta ->
-          Worst_case.point_of_eval ~center ~delta
-            (Sweep.eval ~budget:b sweep ~delta))
-        deltas
-    with
-    | points ->
-        Some
-          {
-            points = points_json points;
-            path = "exhaustive sweep";
-            degraded = false;
-            spent = Budget.spent b;
-            confidence = None;
-          }
-    | exception Budget.Exhausted _ -> None
+(* Per delta, one point per initial. *)
+let by_delta ~deltas columns =
+  List.mapi (fun di _ -> Array.map (fun col -> col.(di)) columns) deltas
 
-let tier_bnb t ~allowance ~plans ~initial ~deltas =
-  let dim = Vec.dim initial in
-  let np = Array.length plans in
-  if np = 0 || not (Sweep.Bnb.supported ~dim) then None
-  else
-    let b = Budget.create allowance in
-    match
-      Budget.spend b ~who:"server.bnb.build" (np * dim);
-      let center = Vec.make dim 1. in
-      let bnb = bnb_for t ~plans ~initial ~center in
-      let scratch = Sweep.Bnb.Scratch.create () in
-      List.map
-        (fun delta ->
-          Worst_case.point_of_eval ~center ~delta
-            (Sweep.Bnb.eval ~budget:b ~scratch bnb ~delta))
-        deltas
-    with
-    | points ->
-        Some
-          {
-            points = points_json points;
-            path = "branch-and-bound";
-            degraded = false;
-            spent = Budget.spent b;
-            confidence = None;
-          }
-    | exception Budget.Exhausted _ -> None
-
-let tier_fractional t ~allowance ~plans ~initial ~deltas =
-  let np = Array.length plans in
-  let nd = List.length deltas in
-  let b = Budget.create allowance in
-  if not (Budget.try_spend b (max 1 (np * nd * fractional_cell_cost))) then
-    None
-  else
-    let points =
-      Worst_case.curve_fractional ~deltas ?pool:t.pool ~plans ~initial ()
-    in
-    Some
-      {
-        points = points_json points;
-        path = "linear-fractional fallback";
-        degraded = false;
-        spent = Budget.spent b;
-        confidence = None;
-      }
-
-let tier_monte_carlo t ~allowance ~plans ~initial ~deltas ~seed =
-  let nd = List.length deltas in
-  let per_point = max 1 (allowance / max 1 nd) in
-  let spent = ref 0 in
-  let points =
-    List.map
-      (fun delta ->
-        let b = Budget.create per_point in
-        let s =
-          Monte_carlo.gtc_distribution ~seed ~samples:t.config.mc_samples
-            ?pool:t.pool ~budget:b ~plans ~initial ~delta ()
-        in
-        spent := !spent + Budget.spent b;
-        Json.Obj
-          [
-            ("delta", Json.num delta);
-            ("gtc", Json.num s.Monte_carlo.max_seen);
-            ("p99", Json.num s.Monte_carlo.p99);
-            ("samples", Json.num (Float.of_int s.Monte_carlo.samples));
-          ])
-      deltas
+let tier_exhaustive t ~plans ~initials ~center ~deltas b =
+  let np = Array.length plans and dim = Vec.dim center in
+  let sweeps =
+    Array.map
+      (fun initial ->
+        (* Table build charged up front, hit or miss alike. *)
+        Budget.spend b ~who:"server.sweep.build" (np * (1 lsl dim));
+        sweep_for t ~plans ~initial ~center)
+      initials
   in
-  {
-    points = Json.List points;
-    path = "monte-carlo estimate";
-    degraded = true;
-    spent = !spent;
-    confidence =
-      Some
-        (Json.Str
-           "lower-bound estimate from seeded sampling; exact tiers exceeded \
-            the budget");
-  }
+  List.map
+    (fun delta ->
+      Array.map
+        (fun sw ->
+          Worst_case.point_of_eval ~center ~delta
+            (Sweep.eval ~budget:b sw ~delta))
+        sweeps)
+    deltas
 
-let eval_curve t ~allowance ~plans ~initial ~deltas ~seed =
-  let static = Worst_case.path_name ~dim:(Vec.dim initial) in
+let tier_bnb t ~plans ~initials ~center ~deltas b =
+  let np = Array.length plans and dim = Vec.dim center in
+  let searches =
+    Array.map
+      (fun initial ->
+        Budget.spend b ~who:"server.bnb.build" (np * dim);
+        bnb_for t ~plans ~initial ~center)
+      initials
+  in
+  (* Initial-outer, delta-inner, so the scratch binds once per initial. *)
+  let scratch = Sweep.Bnb.Scratch.create () in
+  Array.map
+    (fun bnb ->
+      Array.of_list
+        (List.map
+           (fun delta ->
+             Worst_case.point_of_eval ~center ~delta
+               (Sweep.Bnb.eval ~budget:b ~scratch bnb ~delta))
+           deltas))
+    searches
+  |> by_delta ~deltas
+
+let tier_fractional t ~plans ~initials ~deltas b =
+  let cells =
+    Array.length initials * Array.length plans * List.length deltas
+  in
+  Budget.spend b ~who:"server.fractional"
+    (max 1 (cells * fractional_cell_cost));
+  Array.map
+    (fun initial ->
+      Array.of_list
+        (Worst_case.curve_fractional ~deltas ?pool:t.pool ~plans ~initial ()))
+    initials
+  |> by_delta ~deltas
+
+(* [render ~delta points] encodes one exact answer; [estimate b ~delta]
+   is the op's Monte-Carlo floor under budget [b], annotated with
+   [caveat]. *)
+let ladder t a ~initials ~render ~estimate ~caveat =
+  let { allowance; plans; deltas; dim; _ } = a in
+  let center = Vec.make dim 1. in
+  let exact (path, supported, run) =
+    if not supported then None
+    else
+      let b = Budget.create allowance in
+      match run b with
+      | columns ->
+          Some
+            {
+              points =
+                Json.List
+                  (List.map2
+                     (fun delta col -> render ~delta col)
+                     deltas columns);
+              path;
+              degraded = false;
+              spent = Budget.spent b;
+              confidence = None;
+            }
+      | exception Budget.Exhausted _ -> None
+  in
+  let tiers =
+    [
+      ( "exhaustive sweep",
+        Sweep.supported ~dim,
+        tier_exhaustive t ~plans ~initials ~center ~deltas );
+      ( "branch-and-bound",
+        Sweep.Bnb.supported ~dim,
+        tier_bnb t ~plans ~initials ~center ~deltas );
+      ( "linear-fractional fallback",
+        true,
+        tier_fractional t ~plans ~initials ~deltas );
+    ]
+  in
   let r =
-    match tier_exhaustive t ~allowance ~plans ~initial ~deltas with
+    match List.find_map exact tiers with
     | Some r -> r
-    | None -> (
-        match tier_bnb t ~allowance ~plans ~initial ~deltas with
-        | Some r -> r
-        | None -> (
-            match tier_fractional t ~allowance ~plans ~initial ~deltas with
-            | Some r -> r
-            | None -> tier_monte_carlo t ~allowance ~plans ~initial ~deltas ~seed
-            ))
+    | None ->
+        let per_point = max 1 (allowance / max 1 (List.length deltas)) in
+        let spent = ref 0 in
+        let points =
+          List.map
+            (fun delta ->
+              let b = Budget.create per_point in
+              let p = estimate b ~delta in
+              spent := !spent + Budget.spent b;
+              p)
+            deltas
+        in
+        {
+          points = Json.List points;
+          path = "monte-carlo estimate";
+          degraded = true;
+          spent = !spent;
+          confidence = Some (Json.Str caveat);
+        }
   in
   (* Degraded = not the tier the unbudgeted dispatcher would have
      picked for this dimension. *)
-  let degraded = r.degraded || not (String.equal r.path static) in
+  let degraded =
+    r.degraded || not (String.equal r.path (Worst_case.path_name ~dim))
+  in
+  if degraded then begin
+    t.degraded <- t.degraded + 1;
+    Obs.add m_degraded 1
+  end;
   { r with degraded }
 
 (* ------------------------------------------------------------------ *)
-(* The selection ladder: same tiers, same budget discipline, but the
-   unit of work is one worst-case regret column per candidate per delta
-   (candidate [i] scored with [initial := plans.(i)] through the same
-   memoized sweeps, so warm selections are bit-identical to cold ones).
-   Classic and LEC columns are single kernel dots and never degrade;
-   only the regret column moves down the ladder. *)
+(* Analysis ops *)
 
-let select_points_json points =
-  Json.List
-    (List.map
-       (fun (p : Select.point) ->
-         Json.Obj
-           [
-             ("delta", Json.num p.Select.delta);
-             ("classic", Json.num (Float.of_int p.Select.classic));
-             ("lec", Json.num (Float.of_int p.Select.lec));
-             ("minimax", Json.num (Float.of_int p.Select.minimax));
-             ("expected", vec_json p.Select.expected);
-             ("regret", vec_json p.Select.regret);
-             ("fallbacks", Json.num (Float.of_int p.Select.fallbacks));
-           ])
-       points)
-
-let tier_select_exhaustive t ~allowance ~plans ~deltas =
-  let np = Array.length plans in
-  if np = 0 then None
-  else
-    let dim = Vec.dim plans.(0) in
-    if not (Sweep.supported ~dim) then None
-    else
-      let b = Budget.create allowance in
-      match
-        let center = Vec.make dim 1. in
-        let kernel = Kernel.pack plans in
-        let classic = Select.classic_index ~plans in
-        let sweeps =
-          Array.map
-            (fun initial ->
-              (* One table build per candidate, charged up front, hit or
-                 miss alike. *)
-              Budget.spend b ~who:"server.select.build" (np * (1 lsl dim));
-              sweep_for t ~plans ~initial ~center)
-            plans
-        in
-        List.map
-          (fun delta ->
-            let regret =
-              Array.map (fun sw -> fst (Sweep.eval ~budget:b sw ~delta)) sweeps
-            in
-            Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
-              ~fallbacks:0)
-          deltas
-      with
-      | points ->
-          Some
-            {
-              points = select_points_json points;
-              path = "exhaustive sweep";
-              degraded = false;
-              spent = Budget.spent b;
-              confidence = None;
-            }
-      | exception Budget.Exhausted _ -> None
-
-let tier_select_bnb t ~allowance ~plans ~deltas =
-  let np = Array.length plans in
-  if np = 0 then None
-  else
-    let dim = Vec.dim plans.(0) in
-    if not (Sweep.Bnb.supported ~dim) then None
-    else
-      let b = Budget.create allowance in
-      match
-        let center = Vec.make dim 1. in
-        let kernel = Kernel.pack plans in
-        let classic = Select.classic_index ~plans in
-        let searches =
-          Array.map
-            (fun initial ->
-              Budget.spend b ~who:"server.select.bnb.build" (np * dim);
-              bnb_for t ~plans ~initial ~center)
-            plans
-        in
-        (* Candidate-outer, delta-inner, so the scratch binds once per
-           candidate.  The order of charges against the shared budget
-           does not matter: it trips iff the total exceeds the
-           allowance, and a trip abandons the whole tier. *)
-        let scratch = Sweep.Bnb.Scratch.create () in
-        let regrets =
-          Array.map
-            (fun bnb ->
-              Array.of_list
-                (List.map
-                   (fun delta ->
-                     fst (Sweep.Bnb.eval ~budget:b ~scratch bnb ~delta))
-                   deltas))
-            searches
-        in
-        List.mapi
-          (fun di delta ->
-            let regret = Array.map (fun r -> r.(di)) regrets in
-            Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
-              ~fallbacks:0)
-          deltas
-      with
-      | points ->
-          Some
-            {
-              points = select_points_json points;
-              path = "branch-and-bound";
-              degraded = false;
-              spent = Budget.spent b;
-              confidence = None;
-            }
-      | exception Budget.Exhausted _ -> None
-
-let tier_select_fractional t ~allowance ~plans ~deltas =
-  let np = Array.length plans in
-  let nd = List.length deltas in
-  if np = 0 then None
-  else
-    let b = Budget.create allowance in
-    if not (Budget.try_spend b (max 1 (np * np * nd * fractional_cell_cost)))
-    then None
-    else
-      let dim = Vec.dim plans.(0) in
-      let center = Vec.make dim 1. in
-      let kernel = Kernel.pack plans in
-      let classic = Select.classic_index ~plans in
-      let regrets =
-        Array.map
-          (fun initial ->
-            Array.of_list
-              (Worst_case.curve_fractional ~deltas ?pool:t.pool ~plans
-                 ~initial ()))
-          plans
-      in
-      let points =
-        List.mapi
-          (fun di delta ->
-            let regret =
-              Array.map (fun r -> r.(di).Worst_case.gtc) regrets
-            in
-            Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
-              ~fallbacks:0)
-          deltas
-      in
-      Some
-        {
-          points = select_points_json points;
-          path = "linear-fractional fallback";
-          degraded = false;
-          spent = Budget.spent b;
-          confidence = None;
-        }
-
-let tier_select_monte_carlo t ~allowance ~plans ~deltas ~seed =
-  let nd = List.length deltas in
-  let per_point = max 1 (allowance / max 1 nd) in
-  let spent = ref 0 in
-  let points =
-    List.map
-      (fun delta ->
-        let b = Budget.create per_point in
-        let p =
-          Select.estimate ~seed ~samples:t.config.mc_samples ~budget:b ~plans
-            ~delta ()
-        in
-        spent := !spent + Budget.spent b;
-        p)
-      deltas
-  in
-  {
-    points = select_points_json points;
-    path = "monte-carlo estimate";
-    degraded = true;
-    spent = !spent;
-    confidence =
-      Some
-        (Json.Str
-           "regret column is a lower-bound estimate from seeded sampling; \
-            classic/lec columns are exact; exact tiers exceeded the budget");
-  }
-
-let eval_select t ~allowance ~plans ~deltas ~seed =
-  let static =
-    match plans with
-    | [||] -> "exhaustive sweep"
-    | _ -> Worst_case.path_name ~dim:(Vec.dim plans.(0))
-  in
-  let r =
-    match tier_select_exhaustive t ~allowance ~plans ~deltas with
-    | Some r -> r
-    | None -> (
-        match tier_select_bnb t ~allowance ~plans ~deltas with
-        | Some r -> r
-        | None -> (
-            match tier_select_fractional t ~allowance ~plans ~deltas with
-            | Some r -> r
-            | None ->
-                tier_select_monte_carlo t ~allowance ~plans ~deltas ~seed))
-  in
-  let degraded = r.degraded || not (String.equal r.path static) in
-  { r with degraded }
-
-(* ------------------------------------------------------------------ *)
-(* Ops *)
+let analysis_response a ~op ~extra ~points_key (r : evaluated) =
+  Ok
+    ([
+       ("op", Json.Str op);
+       ("query", Json.Str a.tg.query_name);
+       ("layout", Json.Str a.tg.policy_name);
+       ("dim", Json.num (Float.of_int a.dim));
+     ]
+    @ extra
+    @ [
+        ("path", Json.Str r.path);
+        ("degraded", Json.Bool r.degraded);
+        ("budget", Json.num (Float.of_int a.allowance));
+        ("spent", Json.num (Float.of_int r.spent));
+        (points_key, r.points);
+      ]
+    @ match r.confidence with Some c -> [ ("confidence", c) ] | None -> [])
 
 let op_worst_case t req =
-  match get_target t req with
-  | Error m -> Error (Malformed m)
-  | Ok tg -> (
-      match get_deltas req with
-      | Error m -> Error (Malformed m)
-      | Ok deltas ->
-          let allowance =
-            match get_int req "budget" with
-            | Some b when b >= 1 -> b
-            | Some _ | None -> t.config.default_budget
-          in
-          match setup_for t tg with
-          | exception Not_found ->
-              Error
-                (Malformed
-                   (Printf.sprintf "unknown query %S" tg.query_name))
-          | s ->
-          let delta_max = List.fold_left Float.max 1. deltas in
-          let c = candidates_for t tg s ~delta_max in
-          let plans =
-            Array.of_list
-              (List.map (fun p -> p.Candidates.eff) c.Candidates.plans)
-          in
-          let initial = c.Candidates.initial.Candidates.eff in
-          let r =
-            eval_curve t ~allowance ~plans ~initial ~deltas ~seed:tg.seed
-          in
-          if r.degraded then begin
-            t.degraded <- t.degraded + 1;
-            Obs.add m_degraded 1
-          end;
-          Ok
-            ([
-               ("op", Json.Str "worst_case");
-               ("query", Json.Str tg.query_name);
-               ("layout", Json.Str tg.policy_name);
-               ("dim", Json.num (Float.of_int (Vec.dim initial)));
-               ("path", Json.Str r.path);
-               ("degraded", Json.Bool r.degraded);
-               ("budget", Json.num (Float.of_int allowance));
-               ("spent", Json.num (Float.of_int r.spent));
-               ("points", r.points);
-             ]
-            @
-            match r.confidence with
-            | Some c -> [ ("confidence", c) ]
-            | None -> []))
+  let* a = get_analysis t req in
+  let initial = a.cands.Candidates.initial.Candidates.eff in
+  ladder t a ~initials:[| initial |]
+    ~render:(fun ~delta:_ col -> point_json col.(0))
+    ~estimate:(fun b ~delta ->
+      let s =
+        Monte_carlo.gtc_distribution ~seed:a.tg.seed
+          ~samples:t.config.mc_samples ?pool:t.pool ~budget:b ~plans:a.plans
+          ~initial ~delta ()
+      in
+      Json.Obj
+        [
+          ("delta", Json.num delta);
+          ("gtc", Json.num s.Monte_carlo.max_seen);
+          ("p99", Json.num s.Monte_carlo.p99);
+          ("samples", Json.num (Float.of_int s.Monte_carlo.samples));
+        ])
+    ~caveat:
+      "lower-bound estimate from seeded sampling; exact tiers exceeded the \
+       budget"
+  |> analysis_response a ~op:"worst_case" ~extra:[] ~points_key:"points"
 
+(* Classic and LEC columns are single kernel dots and never degrade;
+   only the regret column moves down the ladder.  Candidate [i]'s regret
+   comes from the same memoized sweeps as a worst_case request with
+   [initial := plans.(i)], so warm selections are bit-identical to cold
+   ones. *)
 let op_select t req =
-  match get_target t req with
-  | Error m -> Error (Malformed m)
-  | Ok tg -> (
-      match get_deltas req with
-      | Error m -> Error (Malformed m)
-      | Ok deltas ->
-          let allowance =
-            match get_int req "budget" with
-            | Some b when b >= 1 -> b
-            | Some _ | None -> t.config.default_budget
-          in
-          match setup_for t tg with
-          | exception Not_found ->
-              Error
-                (Malformed (Printf.sprintf "unknown query %S" tg.query_name))
-          | s ->
-          let delta_max = List.fold_left Float.max 1. deltas in
-          let c = candidates_for t tg s ~delta_max in
-          let plans =
-            Array.of_list
-              (List.map (fun p -> p.Candidates.eff) c.Candidates.plans)
-          in
-          let r = eval_select t ~allowance ~plans ~deltas ~seed:tg.seed in
-          if r.degraded then begin
-            t.degraded <- t.degraded + 1;
-            Obs.add m_degraded 1
-          end;
-          Ok
-            ([
-               ("op", Json.Str "select");
-               ("query", Json.Str tg.query_name);
-               ("layout", Json.Str tg.policy_name);
-               ( "dim",
-                 Json.num
-                   (Float.of_int
-                      (Projection.active_dim s.Experiment.proj)) );
-               ( "plans",
-                 Json.List
-                   (List.map
-                      (fun (p : Candidates.plan) -> Json.Str p.signature)
-                      c.Candidates.plans) );
-               ("path", Json.Str r.path);
-               ("degraded", Json.Bool r.degraded);
-               ("budget", Json.num (Float.of_int allowance));
-               ("spent", Json.num (Float.of_int r.spent));
-               ("choices", r.points);
-             ]
-            @
-            match r.confidence with
-            | Some c -> [ ("confidence", c) ]
-            | None -> []))
+  let* a = get_analysis t req in
+  let plans = a.plans in
+  let center = Vec.make a.dim 1. in
+  let kernel = Kernel.pack plans in
+  let classic = Select.classic_index ~plans in
+  ladder t a ~initials:plans
+    ~render:(fun ~delta col ->
+      let regret = Array.map (fun (p : Worst_case.point) -> p.gtc) col in
+      select_point_json
+        (Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
+           ~fallbacks:0))
+    ~estimate:(fun b ~delta ->
+      select_point_json
+        (Select.estimate ~seed:a.tg.seed ~samples:t.config.mc_samples
+           ~budget:b ~plans ~delta ()))
+    ~caveat:
+      "regret column is a lower-bound estimate from seeded sampling; \
+       classic/lec columns are exact; exact tiers exceeded the budget"
+  |> analysis_response a ~op:"select"
+       ~extra:
+         [
+           ( "plans",
+             Json.List
+               (List.map
+                  (fun (p : Candidates.plan) -> Json.Str p.signature)
+                  a.cands.Candidates.plans) );
+         ]
+       ~points_key:"choices"
 
 let op_candidates t req =
-  match get_target t req with
-  | Error m -> Error (Malformed m)
-  | Ok tg ->
-      let delta_max =
-        match get_float req "delta" with
-        | Some d when d >= 1. -> d
-        | Some _ | None -> List.fold_left Float.max 1. Worst_case.default_deltas
-      in
-      match setup_for t tg with
-      | exception Not_found ->
-          Error (Malformed (Printf.sprintf "unknown query %S" tg.query_name))
-      | s ->
-      let c = candidates_for t tg s ~delta_max in
-      Ok
-        [
-          ("op", Json.Str "candidates");
-          ("query", Json.Str tg.query_name);
-          ("layout", Json.Str tg.policy_name);
-          ( "dim",
-            Json.num (Float.of_int (Projection.active_dim s.Experiment.proj))
-          );
-          ("initial", Json.Str c.Candidates.initial.Candidates.signature);
-          ("verified_complete", Json.Bool c.Candidates.verified_complete);
-          ("probes", Json.num (Float.of_int c.Candidates.probes));
-          ( "plans",
-            Json.List
-              (List.map
-                 (fun (p : Candidates.plan) ->
-                   Json.Obj
-                     [
-                       ("signature", Json.Str p.signature);
-                       ("eff", vec_json p.eff);
-                     ])
-                 c.Candidates.plans) );
-        ]
+  let* tg = get_target t req in
+  let* delta_max =
+    match get_float req "delta" with
+    | Some d when d >= 1. -> Ok d
+    | Some _ -> malformed "\"delta\" must be >= 1"
+    | None -> Ok (List.fold_left Float.max 1. Worst_case.default_deltas)
+  in
+  let* s = setup_for t tg in
+  let c = candidates_for t tg s ~delta_max in
+  Ok
+    [
+      ("op", Json.Str "candidates");
+      ("query", Json.Str tg.query_name);
+      ("layout", Json.Str tg.policy_name);
+      ( "dim",
+        Json.num (Float.of_int (Projection.active_dim s.Experiment.proj)) );
+      ("initial", Json.Str c.Candidates.initial.Candidates.signature);
+      ("verified_complete", Json.Bool c.Candidates.verified_complete);
+      ("probes", Json.num (Float.of_int c.Candidates.probes));
+      ( "plans",
+        Json.List
+          (List.map
+             (fun (p : Candidates.plan) ->
+               Json.Obj
+                 [
+                   ("signature", Json.Str p.signature);
+                   ("eff", vec_json p.eff);
+                 ])
+             c.Candidates.plans) );
+    ]
 
 let cache_stats_json cache =
   let s = Lru.stats cache in

@@ -7,13 +7,16 @@
     contract is:
 
     + {b Deadline-budgeted degradation}.  Every analysis request carries
-      a logical node budget (field ["budget"], default
-      [config.default_budget]).  The worst-case evaluation ladder tries
-      exhaustive subset-sum tables, then branch-and-bound, then the
-      linear-fractional program, then a seeded Monte-Carlo estimate —
-      each tier under a fresh budget of the request's allowance, moving
-      down a tier when the cooperative {!Qsens_budget.Budget}
-      checkpoints trip.  The response always reports the ["path"] taken
+      a logical node budget (field ["budget"], a positive integer,
+      default [config.default_budget]; anything else is [malformed]).
+      [worst_case] and [select] share one evaluation ladder over an
+      array of initial plans — the classic plan alone, or every
+      candidate for its regret column — which tries exhaustive
+      subset-sum tables, then branch-and-bound, then the
+      linear-fractional program, then a seeded Monte-Carlo estimate:
+      each tier under a fresh budget of the request's allowance,
+      charged per initial plan, moving down a tier when the cooperative
+      {!Qsens_budget.Budget} checkpoints trip.  The response always reports the ["path"] taken
       and ["degraded"] (true when a nominally-preferred tier was
       abandoned); the Monte-Carlo tier never fails and annotates its
       answer as an estimate.  Budgets are logical (node counts), never

@@ -7,8 +7,9 @@
    worst_case and select responses bit-identical to a fresh computation
    — the same library paths `qsens worst-case` and `qsens select` print
    — and a path annotation on degraded ones) by exiting nonzero; this
-   driver additionally asserts the degraded response reached the
-   Monte-Carlo floor and the oversized batch shed with typed errors.
+   driver additionally asserts the degraded worst_case response reached
+   the Monte-Carlo floor, a tight-budget select landed on
+   branch-and-bound, and the oversized batch shed with typed errors.
    Before the checked client runs, a rude client connects, sends a
    request and disconnects without reading the reply: the EPIPE on the
    server's answer must not kill the accept loop. *)
@@ -88,7 +89,11 @@ let () =
       "{\"id\":4,\"op\":\"select\",\"query\":\"Q6\",\"layout\":\"same\",\
        \"deltas\":[1,10,100],\"seed\":42,\"max_probes\":2000,\
        \"budget\":1000000000}";
-      "{\"id\":5,\"op\":\"shutdown\"}";
+      (* A selection whose budget trips the exhaustive tables and lands
+         on branch-and-bound: the shared ladder end to end. *)
+      "{\"id\":5,\"op\":\"select\",\"query\":\"Q6\",\"layout\":\"same\",\
+       \"deltas\":[1,10,100],\"seed\":42,\"max_probes\":2000,\"budget\":64}";
+      "{\"id\":6,\"op\":\"shutdown\"}";
     ]
   in
   let client_fd =
@@ -125,6 +130,19 @@ let () =
     (contains ~needle:"\"op\":\"select\"" out
     && contains ~needle:"\"choices\":" out)
     "select op not served after the early disconnect";
+  let bnb_select =
+    List.find_opt
+      (contains ~needle:"{\"id\":5,")
+      (String.split_on_char '\n' out)
+  in
+  expect
+    (match bnb_select with
+    | Some line ->
+        contains ~needle:"\"op\":\"select\"" line
+        && contains ~needle:"\"path\":\"branch-and-bound\"" line
+        && contains ~needle:"\"degraded\":true" line
+    | None -> false)
+    "tight-budget select did not degrade to branch-and-bound";
   expect
     (contains ~needle:"\"op\":\"shutdown\"" out)
     "shutdown not acknowledged";
