@@ -562,6 +562,56 @@ let test_projection () =
   Alcotest.(check bool) "inject" true
     (Vec.equal (Projection.inject p ~fill:1. [| 7.; 8. |]) [| 1.; 7.; 1.; 8.; 1. |])
 
+(* ------------------------------------------------------------------ *)
+(* Phase-3 golden digest.
+
+   Discovery on the e2e benchmark's two figure workloads — Figure 5's
+   22 queries (same device, dimension 3) and Figure 6's nine two-table
+   queries (per table and index, dimension 6) — at discovery seeds 42
+   and 7919 with a 1200-probe budget, on the unit-centred box of the
+   default delta grid.  The digest covers the initial plan, the plan
+   signatures in discovery order, the probe count and the verified flag,
+   so any change in the Observation-3 vertex lists that moves a probe
+   shows up here. *)
+
+let phase3_digest = "d27b1a002a8eea50668063e41119c7c0"
+
+let test_phase3_golden () =
+  let sf = Qsens_tpch.Spec.scale_factor_of_paper in
+  let schema = Qsens_tpch.Spec.schema ~sf in
+  let delta_max = List.fold_left Float.max 1. Worst_case.default_deltas in
+  let workloads =
+    [
+      ( Qsens_catalog.Layout.Same_device,
+        List.map (fun q -> q.Qsens_plan.Query.name) (Qsens_tpch.Queries.all ~sf) );
+      ( Qsens_catalog.Layout.Per_table_and_index_devices,
+        [ "Q4"; "Q12"; "Q13"; "Q14"; "Q15"; "Q16"; "Q17"; "Q19"; "Q22" ] );
+    ]
+  in
+  let lines =
+    List.concat_map
+      (fun (policy, names) ->
+        List.concat_map
+          (fun name ->
+            let s = Experiment.setup ~schema ~policy (Qsens_tpch.Queries.find ~sf name) in
+            List.map
+              (fun seed ->
+                let oracle = Experiment.white_box_oracle s in
+                let box =
+                  Box.around (Vec.make (Oracle.dim oracle) 1.) ~delta:delta_max
+                in
+                let c = Candidates.discover ~seed ~max_probes:1200 oracle ~box in
+                String.concat " "
+                  ([ name; string_of_int seed; c.initial.signature;
+                     string_of_int c.probes; string_of_bool c.verified_complete ]
+                  @ List.map (fun (p : Candidates.plan) -> p.signature) c.plans))
+              [ 42; 7919 ])
+          names)
+      workloads
+  in
+  Alcotest.(check string) "discovery digest" phase3_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -605,6 +655,7 @@ let () =
             test_discovery_skips_never_optimal;
           Alcotest.test_case "narrow cone" `Quick test_discovery_narrow_cone;
           Alcotest.test_case "probe budget" `Quick test_discovery_budget;
+          Alcotest.test_case "phase-3 golden" `Quick test_phase3_golden;
         ] );
       ( "worst-case",
         [
