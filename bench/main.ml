@@ -822,19 +822,9 @@ let bench_parallel () =
     Array.init count (fun _ ->
         Array.init dim (fun _ -> 0.1 +. Random.State.float st 9.9))
   in
-  (* Workload 1: vertex enumeration over a region of influence in five
-     dimensions with twenty plans — about C(29,5) = 1.2e5 linear
-     solves. *)
-  let plans5 = random_plans ~dim:5 ~count:20 in
-  let box5 = Qsens_geom.Box.around (Qsens_linalg.Vec.make 5 1.) ~delta:100. in
-  let hs5 =
-    Qsens_geom.Region.halfspaces
-      (Qsens_geom.Region.of_plans ~plans:plans5 ~index:0 box5)
-  in
-  (* Workload 2: full worst-case curves in six dimensions with
-     twenty-four plans — plans x deltas independent linear-fractional
-     programs, repeated so a single measurement is well above timer
-     resolution. *)
+  (* Full worst-case curves in six dimensions with twenty-four plans —
+     plans x deltas independent linear-fractional programs, repeated so a
+     single measurement is well above timer resolution. *)
   let plans6 = random_plans ~dim:6 ~count:24 in
   let curves = 100 in
   let repeat_curve pool =
@@ -843,9 +833,6 @@ let bench_parallel () =
   in
   let results =
     [
-      measure "vertex-enum dim=5 plans=20"
-        ~seq:(fun () -> Qsens_geom.Vertex_enum.vertices hs5)
-        ~par:(fun p -> Qsens_geom.Vertex_enum.vertices ~pool:p hs5);
       measure
         (Printf.sprintf "worst-case-curve dim=6 plans=24 x%d" curves)
         ~seq:(fun () -> repeat_curve None)

@@ -15,11 +15,13 @@
       known plan's region of influence either confirms the set or yields
       a new plan, and the loop repeats.
 
-    The exact verification enumerates polytope vertices and is feasible
-    only in low dimension; in high dimension (the per-table-and-index
-    layout) discovery falls back to sampling rounds and reports the set
-    as unverified — the paper similarly completed only 16 of 22 queries
-    in that configuration (Section 8.2). *)
+    The exact verification enumerates polytope vertices (a walk over
+    feasible bases, {!Qsens_geom.Region.vertices}) and is gated on the
+    hyperplane-subset count, so it runs only in low dimension; in high
+    dimension (the per-table-and-index layout) discovery falls back to
+    sampling rounds and reports the set as unverified — the paper
+    similarly completed only 16 of 22 queries in that configuration
+    (Section 8.2). *)
 
 open Qsens_linalg
 open Qsens_geom
@@ -49,12 +51,18 @@ val discover :
   result
 (** [discover oracle ~box] runs the full pipeline.  [random_corners]
     (default 64) bounds the random corner probes; [vertex_budget]
-    (default 200_000) bounds the hyperplane subsets examined per region
-    in the verification phase — when exceeded, verification downgrades to
+    (default 200_000) bounds the hyperplane subsets per region in the
+    verification phase — [C(2m + k - 1, m)] for [k] known plans, checked
+    once before phase 3 and again per region — and with it the bases the
+    vertex walk may visit; when exceeded, verification downgrades to
     sampling.
 
     With [?pool], each verification round enumerates the
     region-of-influence vertices of all known plans concurrently; oracle
     probing stays sequential in region order, so the probe sequence,
     probe count, and discovered plan set are identical to the sequential
-    run. *)
+    run.
+
+    Exceptions from the oracle propagate, such as
+    {!Qsens_optimizer.Optimizer.Non_finite} from the white-box oracle
+    when a plan's usage overflows. *)

@@ -28,7 +28,7 @@ let interior_point ?(margin = 1e-9) r =
 let is_empty r = Option.is_none (interior_point ~margin:0. r)
 
 let vertices ?max_subsets r =
-  Vertex_enum.vertices ?max_subsets (halfspaces r)
+  Vertex_enum.vertices ?max_subsets ~box:r.feasible r.switchovers
 
 let contract d r =
   { r with switchovers = List.map (Halfspace.shift d) r.switchovers }

@@ -35,8 +35,9 @@ val interior_point : ?margin:float -> t -> Vec.t option
 val is_empty : t -> bool
 
 val vertices : ?max_subsets:int -> t -> Vec.t list
-(** Vertices via {!Vertex_enum.vertices}; raises {!Vertex_enum.Too_large}
-    in high dimension. *)
+(** Vertices via the basis walk of {!Vertex_enum.vertices} over the
+    switchovers and the box facets ({!halfspaces} order); raises
+    {!Vertex_enum.Too_large} when [C(|halfspaces|, n) > max_subsets]. *)
 
 val contract : float -> t -> t
 (** [contract d r] shifts every switchover half-space inward by [d]

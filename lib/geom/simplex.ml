@@ -187,3 +187,80 @@ let feasible_in_box box hs =
   match feasible ~constraints ~dim:n with
   | None -> None
   | Some y -> Some (Vec.add lo y)
+
+(* Phase one on the inequality form, refactorizing at every pivot.  A
+   basis is [n] row indices whose rows are tight; its vertex solves them
+   from scratch each step (no tableau, so no accumulated drift — rows
+   that differ by 1e-10 stay distinguishable).  The objective is the
+   total violation; each step leaves the lowest-index basis row whose
+   edge reduces it and enters the first row the edge meets, lowest index
+   on ties (Bland's rule, which rules out cycling). *)
+type phase_one = Vertex of int array | Empty | Stalled
+
+let feasible_basis ~rel rows start =
+  let count = Array.length rows and n = Array.length start in
+  let limit = 100 * (count + 1) * (n + 1) in
+  let in_basis = Array.make count false in
+  (* The pivot out of [basis] that lowers the total violation at [x],
+     or [None] at a minimum. *)
+  let pivot basis inv x =
+    let noise = rel *. (1. +. Vec.norm_inf x) in
+    let res = Array.map (fun (a, b) -> Vec.dot a x -. b) rows in
+    let violated r = (not in_basis.(r)) && res.(r) > noise in
+    (* Leaving rows in ascending index order: [basis] is sorted. *)
+    let rec leave p =
+      if p = n then None
+      else begin
+        let d = Vec.init n (fun i -> -.Mat.get inv i p) in
+        let rate = Array.map (fun (a, _) -> Vec.dot a d) rows in
+        let slope = ref 0. in
+        Array.iteri (fun r a -> if violated r then slope := !slope +. a) rate;
+        (* First breakpoint: a satisfied row becoming violated, or a
+           violated one becoming satisfied.  A row parallel to the edge
+           up to rounding (a duplicate of a basis row) cannot enter: the
+           basis would be singular. *)
+        let parallel = 1e-12 *. Vec.norm_inf d in
+        let best = ref (-1) and best_t = ref infinity in
+        if !slope < -1e-15 then
+          for r = 0 to count - 1 do
+            let a = rate.(r) in
+            if (not in_basis.(r)) && Float.abs a > parallel then begin
+              let t =
+                if violated r then if a < 0. then res.(r) /. -.a else infinity
+                else if a > 0. then Float.max 0. (-.res.(r) /. a)
+                else infinity
+              in
+              if t < !best_t then begin
+                best := r;
+                best_t := t
+              end
+            end
+          done;
+        if !best < 0 then leave (p + 1)
+        else begin
+          let nb = Array.copy basis in
+          nb.(p) <- !best;
+          Array.sort Int.compare nb;
+          Some nb
+        end
+      end
+    in
+    if Array.exists Fun.id (Array.init count violated) then `Pivot (leave 0)
+    else `Feasible
+  in
+  let rec step basis iter =
+    let m = Mat.init n n (fun i j -> (fst rows.(basis.(i))).(j)) in
+    match Mat.inverse m with
+    | exception Mat.Singular -> Stalled
+    | _ when iter > limit -> Stalled
+    | inv -> (
+        let x = Mat.mul_vec inv (Vec.init n (fun i -> snd rows.(basis.(i)))) in
+        Array.iter (fun r -> in_basis.(r) <- true) basis;
+        let next = pivot basis inv x in
+        Array.iter (fun r -> in_basis.(r) <- false) basis;
+        match next with
+        | `Feasible -> Vertex basis
+        | `Pivot None -> Empty
+        | `Pivot (Some nb) -> step nb (iter + 1))
+  in
+  step (Array.copy start) 0

@@ -1,5 +1,5 @@
 open Qsens_linalg
-module Pool = Qsens_parallel.Pool
+module Obs = Qsens_obs.Obs
 module Budget = Qsens_budget.Budget
 
 exception Too_large
@@ -18,47 +18,6 @@ let count_subsets n k =
      with Exit -> acc := max_int);
     !acc
   end
-
-(* Advance [idx] to the next [k]-subset of [0 .. n-1] in lexicographic
-   order, in place; false when [idx] was the last subset. *)
-let advance_subset n k idx =
-  let rec bump i =
-    if i < 0 then false
-    else if idx.(i) < n - (k - i) then begin
-      idx.(i) <- idx.(i) + 1;
-      for j = i + 1 to k - 1 do
-        idx.(j) <- idx.(j - 1) + 1
-      done;
-      true
-    end
-    else bump (i - 1)
-  in
-  bump (k - 1)
-
-(* Combinatorial number system: the [rank]-th [k]-subset of [0 .. n-1]
-   in lexicographic order.  Lets each domain of a pool start its own
-   combination stream mid-sequence. *)
-let nth_subset n k rank =
-  if k < 1 || k > n then invalid_arg "Vertex_enum.nth_subset: bad k";
-  if rank < 0 || rank >= count_subsets n k then
-    invalid_arg "Vertex_enum.nth_subset: rank out of range";
-  let idx = Array.make k 0 in
-  let r = ref rank and lo = ref 0 in
-  for i = 0 to k - 1 do
-    let c = ref !lo in
-    let rec settle () =
-      let block = count_subsets (n - !c - 1) (k - i - 1) in
-      if !r >= block then begin
-        r := !r - block;
-        incr c;
-        settle ()
-      end
-    in
-    settle ();
-    idx.(i) <- !c;
-    lo := !c + 1
-  done;
-  idx
 
 (* Duplicate-vertex detection in amortised O(3^n) hash probes per
    candidate instead of the former O(V) list scan with a Vec subtraction
@@ -436,82 +395,204 @@ module Bnb = struct
   end
 end
 
-let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ?pool hs =
-  match hs with
-  | [] -> []
-  | h0 :: _ ->
-      let n = Halfspace.dim h0 in
-      let arr = Array.of_list hs in
-      let count = Array.length arr in
-      let total = count_subsets count n in
-      if total > max_subsets then raise Too_large;
-      if total = 0 then []
-      else begin
-        (* Packed feasibility check: one contiguous matrix of constraint
-           normals, scanned row by row with early exit.  Each row product
-           is bit-identical to [Halfspace.eval], so the predicate decides
-           exactly as the per-halfspace [Halfspace.contains] loop. *)
-        let normals = Kernel.pack (Array.map (fun h -> h.Halfspace.normal) arr) in
-        let offsets = Array.map (fun h -> h.Halfspace.offset) arr in
-        let satisfies_all x =
-          let ok = ref true and i = ref 0 in
-          while !ok && !i < count do
-            if Kernel.dot_row normals !i x -. offsets.(!i) > eps then ok := false;
-            incr i
+(* ------------------------------------------------------------------ *)
+(* Vertex enumeration by a breadth-first walk over feasible bases
+   (DESIGN.md section 7, "The basis walk").
+
+   A basis is an ascending [n]-subset of the constraint rows.  Each
+   visited basis is accepted or rejected exactly as the hyperplane-subset
+   scan decides a subset — the same raw rows, the same [Mat.solve], the
+   same absolute [eps] test over every constraint — and the accepted
+   bases are replayed in lexicographic order through the same dedup
+   grid, so the vertex list is the scan's, bit for bit and in order.
+   Which bases get visited is decided on the row-normalized system with
+   a tolerance looser than the acceptance test: from a walk-feasible
+   basis, every exchange whose ratio-test point stays within tolerance
+   is a neighbour, so ties and near-ties (degenerate and contracted
+   vertices) are all expanded.  The walk only ever visits [n]-subsets,
+   so [max_subsets] bounds it as it bounded the scan. *)
+
+let m_bases = Obs.counter ~help:"bases the vertex walk visited" "vertex_enum.bases"
+
+let m_eps_rejects =
+  Obs.counter
+    ~help:"walk-feasible bases the absolute-eps acceptance test rejects"
+    "vertex_enum.eps_rejects"
+
+(* The walk's tolerance, in normalized (unit-normal) units: [slack]
+   acceptance slacks [eps / |normal|] per row, plus [rel] times the
+   point's magnitude for the rounding of the raw products (which the
+   absolute test does not scale). *)
+let slack = 4.
+let rel = 1e-10
+
+(* Lexicographic order of equal-length ascending subsets: the scan's
+   rank order. *)
+let compare_bases (a : int array) b =
+  let rec go i =
+    if i = Array.length a then 0
+    else match Int.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
+  in
+  go 0
+
+let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
+  let n = Box.dim box in
+  let arr = Array.of_list (hs @ Box.to_halfspaces box) in
+  let count = Array.length arr in
+  let total = count_subsets count n in
+  if total > max_subsets then raise Too_large;
+  if n = 0 || total = 0 then []
+  else begin
+    (* Acceptance: the raw rows, exactly as the subset scan tests them.
+       Each packed row product is bit-identical to [Halfspace.eval]. *)
+    let normals = Kernel.pack (Array.map (fun h -> h.Halfspace.normal) arr) in
+    let offsets = Array.map (fun h -> h.Halfspace.offset) arr in
+    let satisfies_all x =
+      let ok = ref true and i = ref 0 in
+      while !ok && !i < count do
+        if Kernel.dot_row normals !i x -. offsets.(!i) > eps then ok := false;
+        incr i
+      done;
+      !ok
+    in
+    let raw_solve basis =
+      let m = Mat.init n n (fun i j -> arr.(basis.(i)).Halfspace.normal.(j)) in
+      match Mat.solve m (Vec.init n (fun i -> offsets.(basis.(i)))) with
+      | exception Mat.Singular -> None
+      | x -> Some x
+    in
+    (* The walk's view: unit normals and per-row tolerances.  A zero row
+       (the region's own plan repeated) holds everywhere and never
+       enters a basis — every subset holding one is singular. *)
+    let norm = Array.map (fun h -> Vec.norm2 h.Halfspace.normal) arr in
+    let live r = norm.(r) > 0. in
+    let dir =
+      Array.mapi
+        (fun r h ->
+          if live r then Vec.scale (1. /. norm.(r)) h.Halfspace.normal
+          else h.Halfspace.normal)
+        arr
+    in
+    let off = Array.mapi (fun r o -> if live r then o /. norm.(r) else o) offsets in
+    let tol = Array.map (fun nr -> if nr > 0. then slack *. eps /. nr else infinity) norm in
+    let residuals x =
+      Array.init count (fun r ->
+          if live r then Vec.dot dir.(r) x -. off.(r) else neg_infinity)
+    in
+    let noise x = rel *. (1. +. Vec.norm_inf x) in
+    (* Start: phase one from the box's low corner finds a vertex of the
+       system relaxed by the walk tolerance, inside which every accepted
+       point lies with [slack - 1] acceptance slacks to spare. *)
+    let k = List.length hs in
+    let relaxed =
+      Array.init count (fun r ->
+          (dir.(r), if live r then off.(r) +. tol.(r) else infinity))
+    in
+    match
+      Simplex.feasible_basis ~rel relaxed (Array.init n (fun i -> k + (2 * i) + 1))
+    with
+    | Simplex.Empty -> []
+    | Simplex.Stalled -> raise Too_large
+    | Simplex.Vertex start ->
+        (* The start's exact vertex may sit just outside the relaxed
+           system it was found in: widen the tolerance to cover it. *)
+        Option.iter
+          (fun x ->
+            let r0 = noise x in
+            Array.iteri
+              (fun r v -> if v > tol.(r) +. r0 then tol.(r) <- 2. *. v)
+              (residuals x))
+          (raw_solve start);
+        let visited : (int array, unit) Hashtbl.t = Hashtbl.create 256 in
+        let queue = Queue.create () in
+        let push b =
+          if not (Hashtbl.mem visited b) then begin
+            Hashtbl.add visited b ();
+            Queue.add b queue
+          end
+        in
+        push start;
+        let accepted = ref [] in
+        let in_basis = Array.make count false in
+        let dirs = Mat.of_rows (Array.to_list dir) in
+        (* From basis [basis] at [x] (residuals [res], tolerance slack
+           [r0]), every exchange along the edge that leaves row
+           [basis.(p)], whose direction has [rate.(r)] against row [r]. *)
+        let expand basis res r0 p rate =
+          let lp = basis.(p) in
+          (* The tolerance-feasible stretch [t_lo, t_hi] of the edge. *)
+          let t_lo = ref (res.(lp) -. tol.(lp) -. r0) and t_hi = ref infinity in
+          for r = 0 to count - 1 do
+            let a = rate r in
+            if a > 0. then t_hi := Float.min !t_hi ((tol.(r) +. r0 -. res.(r)) /. a)
+            else if a < 0. then t_lo := Float.max !t_lo ((tol.(r) +. r0 -. res.(r)) /. a)
           done;
-          !ok
+          (* Every row whose tolerance band meets the stretch enters:
+             ties, near-ties, and rows (nearly) parallel to the edge. *)
+          for r = 0 to count - 1 do
+            if live r && not in_basis.(r) then begin
+              let a = rate r and band = tol.(r) +. r0 in
+              let meets =
+                if Float.equal a 0. then Float.abs res.(r) <= band
+                else begin
+                  let t1 = (-.band -. res.(r)) /. a and t2 = (band -. res.(r)) /. a in
+                  Float.max !t_lo (Float.min t1 t2) <= Float.min !t_hi (Float.max t1 t2)
+                end
+              in
+              if meets then begin
+                let nb = Array.copy basis in
+                nb.(p) <- r;
+                Array.sort Int.compare nb;
+                push nb
+              end
+            end
+          done
         in
-        let solve idx =
-          let m =
-            Mat.init n n (fun i j -> (arr.(idx.(i))).Halfspace.normal.(j))
+        while not (Queue.is_empty queue) do
+          let basis = Queue.pop queue in
+          Obs.add m_bases 1;
+          let inv =
+            match Mat.inverse (Mat.init n n (fun i j -> dir.(basis.(i)).(j))) with
+            | inv -> Some inv
+            | exception Mat.Singular -> None
           in
-          let b = Vec.init n (fun i -> (arr.(idx.(i))).Halfspace.offset) in
-          match Mat.solve m b with
-          | exception Mat.Singular -> None
-          | x -> if satisfies_all x then Some x else None
-        in
-        (* Candidate vertices for [len] consecutive subsets starting at
-           [start], in rank order; pure, so chunks run concurrently. *)
-        let candidates ~start ~len =
-          let acc = ref [] in
-          if len > 0 then begin
-            let idx = nth_subset count n start in
-            let remaining = ref len in
-            let more = ref true in
-            while !remaining > 0 && !more do
-              (match solve idx with
-              | Some x -> acc := x :: !acc
-              | None -> ());
-              decr remaining;
-              if !remaining > 0 then more := advance_subset count n idx
-            done
-          end;
-          List.rev !acc
-        in
-        let streams =
-          match pool with
-          | Some p when Pool.domains p > 1 && total > 1 ->
-              let chunks = Pool.auto_chunks ~domains:(Pool.domains p) ~n:total in
-              let parts = Array.make chunks [] in
-              Pool.run p
-                (Array.init chunks (fun c ->
-                     let lo, hi = Pool.chunk_bounds ~n:total ~chunks c in
-                     (* qsens-lint: disable=P001; qsens-check: disable=C001 — each task writes only its own chunk slot *)
-                     fun () -> parts.(c) <- candidates ~start:lo ~len:(hi - lo)));
-              Array.to_list parts
-          | _ -> [ candidates ~start:0 ~len:total ]
-        in
-        (* Merge in chunk order: the concatenation of chunk streams is
-           the full lexicographic candidate stream, so the greedy dedup
-           below returns exactly the sequential result. *)
+          let x =
+            match (raw_solve basis, inv) with
+            | Some x, _ -> Some x
+            | None, Some inv -> Some (Mat.mul_vec inv (Vec.init n (fun i -> off.(basis.(i)))))
+            | None, None -> None
+          in
+          match (x, inv) with
+          | None, _ -> ()
+          | Some x, inv ->
+              let ok = satisfies_all x in
+              if ok then accepted := (basis, x) :: !accepted;
+              let res = residuals x and r0 = noise x in
+              let feasible = Array.for_all2 (fun v t -> v <= t +. r0) res tol in
+              if feasible && not ok then Obs.add m_eps_rejects 1;
+              Option.iter
+                (fun inv ->
+                  if feasible || ok then begin
+                    Array.iter (fun r -> in_basis.(r) <- true) basis;
+                    (* Rates of every row against every edge direction:
+                       the edge leaving [basis.(p)] is column [p] of the
+                       inverse, negated. *)
+                    let rates = Mat.mul dirs inv in
+                    for p = 0 to n - 1 do
+                      expand basis res r0 p (fun r ->
+                          if live r && not in_basis.(r) then -.Mat.get rates r p else 0.)
+                    done;
+                    Array.iter (fun r -> in_basis.(r) <- false) basis
+                  end)
+                inv
+        done;
+        (* Replay in lexicographic subset order through the scan's grid. *)
         let grid = Grid.create ~eps ~dim:n in
-        let out = ref [] in
-        List.iter
-          (List.iter (fun x ->
-               if not (Grid.mem grid x) then begin
+        List.sort (fun (a, _) (b, _) -> compare_bases a b) !accepted
+        |> List.filter_map (fun (_, x) ->
+               if Grid.mem grid x then None
+               else begin
                  Grid.add grid x;
-                 out := x :: !out
-               end))
-          streams;
-        List.rev !out
-      end
+                 Some x
+               end)
+  end

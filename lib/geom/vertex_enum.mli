@@ -4,34 +4,38 @@
     half-spaces with the feasible cost region — a convex polytope.  The
     candidate-plan completeness check of Section 6.2.1 probes the
     optimizer at (slightly contracted) vertices of these polytopes.  This
-    module enumerates vertices by solving every [n]-subset of boundary
-    hyperplanes and keeping the solutions that satisfy all constraints:
-    adequate for the low-dimensional layouts; higher-dimensional layouts
+    module enumerates them by a breadth-first walk over feasible bases,
+    whose cost grows with the vertices that exist rather than with the
+    hyperplane subsets that could define one; higher-dimensional layouts
     fall back to sampling (see {!Qsens_core}). *)
 
 open Qsens_linalg
 
 exception Too_large
-(** Raised when the number of hyperplane subsets to examine exceeds the
+(** Raised when the number of hyperplane subsets exceeds the
     [max_subsets] budget. *)
 
 val vertices :
-  ?eps:float ->
-  ?max_subsets:int ->
-  ?pool:Qsens_parallel.Pool.t ->
-  Halfspace.t list ->
-  Vec.t list
-(** [vertices hs] enumerates the vertices of [{ x | h . x <= o for all
-    (h, o) in hs }].  Duplicate vertices (within [eps], default [1e-7],
-    infinity norm) are merged via a grid hash at [eps] resolution.
-    Raises [Too_large] if [C(|hs|, n) > max_subsets]
-    (default [200_000]).
+  ?eps:float -> ?max_subsets:int -> box:Box.t -> Halfspace.t list -> Vec.t list
+(** [vertices ~box hs] enumerates the vertices of [{ x in box | h . x <=
+    o for all (h, o) in hs }].  The constraint rows are [hs @
+    Box.to_halfspaces box]; a vertex is an [n]-subset of them whose
+    system {!Mat.solve} solves to a point satisfying every row within
+    [eps] (default [1e-7], absolute, on the raw rows).  Duplicates
+    (within [eps], infinity norm) are merged through a grid hash in
+    lexicographic subset order.  The list is bit-identical, in length
+    and order, to solving every subset in lexicographic order — the
+    reference scan kept in the test support — while visiting only the
+    bases a walk from a phase-one vertex reaches (DESIGN.md section 7).
 
-    With [?pool], the rank-ordered space of [n]-subsets is partitioned
-    into contiguous chunks solved concurrently (each domain starts its
-    own combination stream via {!nth_subset}); chunk outputs are merged
-    in rank order, so the result is {e identical} — same vertices, same
-    order — to the sequential run. *)
+    Raises [Too_large] if [C(|hs| + 2n, n) > max_subsets] (default
+    [200_000]) — the walk never visits more bases than that — or, never
+    seen in practice, if phase one stalls.
+
+    Counters: [vertex_enum.bases] (bases visited) and
+    [vertex_enum.eps_rejects] (bases within the walk's normalized
+    tolerance that the absolute [eps] test rejects — true vertices lost
+    to the rounding of large raw rows; see ROADMAP). *)
 
 (** {2 Branch-and-bound vertex search}
 
@@ -140,9 +144,3 @@ end
 
 val count_subsets : int -> int -> int
 (** [count_subsets n k] is [C(n, k)], saturating at [max_int]. *)
-
-val nth_subset : int -> int -> int -> int array
-(** [nth_subset n k rank] is the [rank]-th [k]-subset of [0 .. n-1] in
-    lexicographic order (the combinatorial number system), as a strictly
-    increasing index array.  Raises [Invalid_argument] unless
-    [1 <= k <= n] and [0 <= rank < count_subsets n k]. *)

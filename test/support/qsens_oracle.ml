@@ -327,3 +327,139 @@ let optimize_memo ?(max_bushy_side = 2) env (query : Query.t) ~costs :
         total_cost = Node.cost best costs;
         signature = Node.signature best;
       }
+
+(* ------------------------------------------------------------------ *)
+(* The hyperplane-subset vertex scan, kept as the reference for the
+   production basis walk ({!Qsens_geom.Vertex_enum.vertices}). *)
+
+module Pool = Qsens_parallel.Pool
+
+(* Advance [idx] to the next [k]-subset of [0 .. n-1] in lexicographic
+   order, in place; false when [idx] was the last subset. *)
+let advance_subset n k idx =
+  let rec bump i =
+    if i < 0 then false
+    else if idx.(i) < n - (k - i) then begin
+      idx.(i) <- idx.(i) + 1;
+      for j = i + 1 to k - 1 do
+        idx.(j) <- idx.(j - 1) + 1
+      done;
+      true
+    end
+    else bump (i - 1)
+  in
+  bump (k - 1)
+
+let nth_subset n k rank =
+  if k < 1 || k > n then invalid_arg "Qsens_oracle.nth_subset: bad k";
+  if rank < 0 || rank >= Vertex_enum.count_subsets n k then
+    invalid_arg "Qsens_oracle.nth_subset: rank out of range";
+  let idx = Array.make k 0 in
+  let r = ref rank and lo = ref 0 in
+  for i = 0 to k - 1 do
+    let c = ref !lo in
+    let rec settle () =
+      let block = Vertex_enum.count_subsets (n - !c - 1) (k - i - 1) in
+      if !r >= block then begin
+        r := !r - block;
+        incr c;
+        settle ()
+      end
+    in
+    settle ();
+    idx.(i) <- !c;
+    lo := !c + 1
+  done;
+  idx
+
+(* The production dedup grid, repeated so the reference stands alone:
+   cells of side [eps], and a point is a duplicate when some kept point
+   in the 3^n neighbouring cells lies within [eps] (infinity norm). *)
+module Grid = struct
+  type t = { eps : float; dim : int; cells : (int list, Vec.t list) Hashtbl.t }
+
+  let create ~eps ~dim = { eps; dim; cells = Hashtbl.create 256 }
+
+  let key g x =
+    Array.to_list (Array.map (fun v -> int_of_float (Float.floor (v /. g.eps))) x)
+
+  let mem g x =
+    let base = Array.of_list (key g x) in
+    let rec probe d acc =
+      if d = g.dim then
+        match Hashtbl.find_opt g.cells (List.rev acc) with
+        | None -> false
+        | Some ys -> List.exists (fun y -> Vec.norm_inf (Vec.sub x y) <= g.eps) ys
+      else
+        probe (d + 1) ((base.(d) - 1) :: acc)
+        || probe (d + 1) (base.(d) :: acc)
+        || probe (d + 1) ((base.(d) + 1) :: acc)
+    in
+    probe 0 []
+
+  let add g x =
+    let k = key g x in
+    let prev = Option.value ~default:[] (Hashtbl.find_opt g.cells k) in
+    Hashtbl.replace g.cells k (x :: prev)
+end
+
+let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ?pool hs =
+  match hs with
+  | [] -> []
+  | h0 :: _ ->
+      let n = Halfspace.dim h0 in
+      let arr = Array.of_list hs in
+      let count = Array.length arr in
+      let total = Vertex_enum.count_subsets count n in
+      if total > max_subsets then raise Vertex_enum.Too_large;
+      if total = 0 then []
+      else begin
+        let satisfies_all x =
+          Array.for_all
+            (fun (h : Halfspace.t) -> Vec.dot h.normal x -. h.offset <= eps)
+            arr
+        in
+        let solve idx =
+          let m = Mat.init n n (fun i j -> arr.(idx.(i)).Halfspace.normal.(j)) in
+          let b = Vec.init n (fun i -> arr.(idx.(i)).Halfspace.offset) in
+          match Mat.solve m b with
+          | exception Mat.Singular -> None
+          | x -> if satisfies_all x then Some x else None
+        in
+        (* Candidate vertices of [len] consecutive subsets from rank
+           [start], in rank order. *)
+        let candidates ~start ~len =
+          let acc = ref [] in
+          if len > 0 then begin
+            let idx = nth_subset count n start in
+            let remaining = ref len and more = ref true in
+            while !remaining > 0 && !more do
+              Option.iter (fun x -> acc := x :: !acc) (solve idx);
+              decr remaining;
+              if !remaining > 0 then more := advance_subset count n idx
+            done
+          end;
+          List.rev !acc
+        in
+        let streams =
+          match pool with
+          | Some p when Pool.domains p > 1 && total > 1 ->
+              let chunks = Pool.auto_chunks ~domains:(Pool.domains p) ~n:total in
+              let parts = Array.make chunks [] in
+              Pool.run p
+                (Array.init chunks (fun c ->
+                     let lo, hi = Pool.chunk_bounds ~n:total ~chunks c in
+                     (* qsens-lint: disable=P001 — each task writes only its own chunk slot *)
+                     fun () -> parts.(c) <- candidates ~start:lo ~len:(hi - lo)));
+              Array.to_list parts
+          | _ -> [ candidates ~start:0 ~len:total ]
+        in
+        let grid = Grid.create ~eps ~dim:n in
+        List.concat streams
+        |> List.filter (fun x ->
+               (not (Grid.mem grid x))
+               && begin
+                    Grid.add grid x;
+                    true
+                  end)
+      end

@@ -65,3 +65,26 @@ val optimize_memo :
     for {!Qsens_optimizer.Optimizer.optimize} and
     {!Qsens_optimizer.Optimizer.best}: same plan, same usage bits, same
     [total_cost] bits. *)
+
+val vertices :
+  ?eps:float ->
+  ?max_subsets:int ->
+  ?pool:Qsens_parallel.Pool.t ->
+  Qsens_geom.Halfspace.t list ->
+  Vec.t list
+(** The hyperplane-subset vertex scan the basis walk replaced: every
+    [n]-subset of [hs] in lexicographic order is solved with
+    {!Mat.solve} and kept when the solution satisfies every constraint
+    within [eps] (default [1e-7], absolute), then deduplicated greedily
+    through an [eps] grid.  Raises {!Qsens_geom.Vertex_enum.Too_large}
+    when [C(|hs|, n) > max_subsets] (default [200_000]).  With [?pool]
+    the subset ranks are split into contiguous chunks solved
+    concurrently and merged in rank order — the same list.  The
+    bit-identity reference for {!Qsens_geom.Vertex_enum.vertices}
+    (whose constraint list is [hs @ Box.to_halfspaces box]). *)
+
+val nth_subset : int -> int -> int -> int array
+(** [nth_subset n k rank] is the [rank]-th [k]-subset of [0 .. n-1] in
+    lexicographic order (the combinatorial number system), as a strictly
+    increasing index array.  Raises [Invalid_argument] unless
+    [1 <= k <= n] and [0 <= rank < C(n, k)]. *)

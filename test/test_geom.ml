@@ -158,19 +158,14 @@ let test_count_subsets () =
 
 let test_vertex_enum_box () =
   let b = Box.make [| 0.; 0. |] [| 2.; 3. |] in
-  let vs = Vertex_enum.vertices (Box.to_halfspaces b) in
+  let vs = Vertex_enum.vertices ~box:b [] in
   Alcotest.(check int) "square has 4 vertices" 4 (List.length vs)
 
 let test_vertex_enum_triangle () =
-  (* x >= 0, y >= 0, x + y <= 1. *)
-  let hs =
-    [
-      Halfspace.make [| -1.; 0. |] 0.;
-      Halfspace.make [| 0.; -1. |] 0.;
-      Halfspace.make [| 1.; 1. |] 1.;
-    ]
-  in
-  let vs = Vertex_enum.vertices hs in
+  (* x >= 0, y >= 0, x + y <= 1 (the box's upper facets touch only at
+     the degenerate corners (1,0) and (0,1)). *)
+  let box = Box.make [| 0.; 0. |] [| 1.; 1. |] in
+  let vs = Vertex_enum.vertices ~box [ Halfspace.make [| 1.; 1. |] 1. ] in
   Alcotest.(check int) "triangle has 3 vertices" 3 (List.length vs);
   Alcotest.(check bool) "has (1,0)" true
     (List.exists (fun v -> Vec.equal ~eps:1e-7 v [| 1.; 0. |]) vs)
@@ -178,7 +173,152 @@ let test_vertex_enum_triangle () =
 let test_vertex_enum_too_large () =
   let b = Box.make (Vec.zero 6) (Vec.make 6 1.) in
   Alcotest.check_raises "budget" Vertex_enum.Too_large (fun () ->
-      ignore (Vertex_enum.vertices ~max_subsets:10 (Box.to_halfspaces b)))
+      ignore (Vertex_enum.vertices ~max_subsets:10 ~box:b []))
+
+(* ------------------------------------------------------------------ *)
+(* The basis walk against the hyperplane-subset scan it replaced *)
+
+let same_bits a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun x y ->
+         Array.length x = Array.length y
+         && Array.for_all2
+              (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+              x y)
+       a b
+
+(* The walk and the reference scan on one region: the same vertex list
+   (length, order, bits), or both over budget. *)
+let walk_matches_scan ?pool region =
+  let walk = try Some (Region.vertices region) with Vertex_enum.Too_large -> None in
+  let scan =
+    try Some (Qsens_oracle.vertices ?pool (Region.halfspaces region))
+    with Vertex_enum.Too_large -> None
+  in
+  match (walk, scan) with
+  | None, None -> true
+  | Some a, Some b -> same_bits a b
+  | _ -> false
+
+(* Every region phase 3 of discovery can enumerate for [name]: a round
+   works on the known plans sorted by signature, and the known set is
+   always a prefix of the discovery order, so the contracted regions of
+   every prefix cover every round. *)
+let discovery_regions policy name ~seed =
+  let open Qsens_core in
+  let sf = Qsens_tpch.Spec.scale_factor_of_paper in
+  let s =
+    Experiment.setup ~schema:(Qsens_tpch.Spec.schema ~sf) ~policy
+      (Qsens_tpch.Queries.find ~sf name)
+  in
+  let oracle = Experiment.white_box_oracle s in
+  let delta_max = List.fold_left Float.max 1. Worst_case.default_deltas in
+  let box = Box.around (Vec.make (Oracle.dim oracle) 1.) ~delta:delta_max in
+  let c = Candidates.discover ~seed ~max_probes:1200 oracle ~box in
+  let found = Array.of_list c.plans in
+  List.concat
+    (List.init (Array.length found) (fun len ->
+         let plans =
+           Array.sub found 0 (len + 1)
+           |> Array.to_list
+           |> List.sort (fun (a : Candidates.plan) b -> String.compare a.signature b.signature)
+           |> List.map (fun (p : Candidates.plan) -> p.eff)
+           |> Array.of_list
+         in
+         List.init (len + 1) (fun index ->
+             Region.contract 1e-6 (Region.of_plans ~plans ~index box))))
+
+let check_discovery_regions ?pool policy names ~seed =
+  List.iter
+    (fun name ->
+      let regions = discovery_regions policy name ~seed in
+      List.iteri
+        (fun i r ->
+          if not (walk_matches_scan ?pool r) then
+            Alcotest.failf "%s seed %d: region %d differs from the subset scan" name
+              seed i)
+        regions)
+    names
+
+let test_walk_figure5_regions () =
+  let sf = Qsens_tpch.Spec.scale_factor_of_paper in
+  let names = List.map (fun q -> q.Qsens_plan.Query.name) (Qsens_tpch.Queries.all ~sf) in
+  List.iter
+    (fun seed -> check_discovery_regions Qsens_catalog.Layout.Same_device names ~seed)
+    [ 42; 7919 ]
+
+let test_walk_figure6_regions () =
+  Qsens_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      check_discovery_regions ~pool Qsens_catalog.Layout.Per_table_and_index_devices
+        [ "Q12"; "Q16" ] ~seed:42)
+
+(* Random regions at dimensions 2-6, with the degenerate shapes the
+   walk must get right: duplicate plans (a zero switchover normal, and
+   two identical rows), switchovers through box corners, regions emptied
+   by the contraction, and lower-dimensional (flat) regions. *)
+type shape = Random | Duplicates | Corners | Emptied | Flat
+
+let gen_region =
+  QCheck.Gen.(
+    int_range 2 6 >>= fun m ->
+    int_range 2 (if m >= 5 then 6 else 9) >>= fun k ->
+    oneofl [ Random; Duplicates; Corners; Emptied; Flat ] >>= fun shape ->
+    (* Usage spread: comparable magnitudes, or twelve decades as in the
+       per-table-and-index layouts. *)
+    oneofl [ (0.1, 10.); (1e-3, 1e9) ] >>= fun (lo, hi) ->
+    array_size (return k)
+      (array_size (return m) (map exp (float_range (log lo) (log hi))))
+    >>= fun plans ->
+    oneofl [ 1.5; 10.; 100.; 1e4 ] >>= fun delta ->
+    oneofl [ 0.; 1e-6; 1e-3 ] >>= fun contraction ->
+    int_bound (k - 1) >>= fun index ->
+    int_bound ((1 lsl m) - 1) >>= fun corner ->
+    return (shape, plans, delta, contraction, index, corner))
+
+let build_region (shape, plans, delta, contraction, index, corner) =
+  let plans = Array.map Array.copy plans in
+  let k = Array.length plans and m = Array.length plans.(0) in
+  let box = Box.around (Vec.make m 1.) ~delta in
+  let other = (index + 1) mod k in
+  (match shape with
+  | Random -> ()
+  | Duplicates ->
+      plans.(other) <- Array.copy plans.(index);
+      if k > 2 then plans.((index + 2) mod k) <- Array.copy plans.((index + 3) mod k)
+  | Corners ->
+      (* Each other plan differs from the region's plan by a vector
+         orthogonal to one box corner: its switchover passes through
+         that corner. *)
+      let v = Box.vertex box corner in
+      Array.iteri
+        (fun j p ->
+          if j <> index then begin
+            let w = Vec.sub p plans.(index) in
+            let w = Vec.sub w (Vec.scale (Vec.dot w v /. Vec.dot v v) v) in
+            plans.(j) <- Vec.add plans.(index) w
+          end)
+        plans
+  | Flat | Emptied ->
+      (* Mirror one plan through the region's plan: the two switchovers
+         are opposite, so the region lies in one hyperplane.  [Emptied]
+         tilts the mirror image by a hair instead, leaving a thin wedge
+         through the origin that the contraction empties near the low
+         corner and not beyond it. *)
+      let mirror = Vec.sub (Vec.scale 2. plans.(index)) plans.((index + 2) mod k) in
+      plans.(other) <-
+        (if shape = Emptied then begin
+           let tilt = 10. ** -.Float.of_int (5 + (corner mod 5)) in
+           Array.mapi (fun i v -> if i = 0 then v *. (1. +. tilt) else v) mirror
+         end
+         else mirror));
+  let region = Region.of_plans ~plans ~index box in
+  let contraction = if shape = Emptied then 1e-6 else contraction in
+  Region.contract contraction region
+
+let prop_walk_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"basis walk == subset scan, bit for bit"
+    (QCheck.make gen_region) (fun spec -> walk_matches_scan (build_region spec))
 
 (* ------------------------------------------------------------------ *)
 (* Fractional *)
@@ -283,7 +423,10 @@ let test_region_contract () =
     (Region.contains r0 [| 1.; 1. |] && not (Region.contains c [| 1.; 1. |]))
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_fractional_attains_max ] in
+  let qsuite =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_fractional_attains_max; prop_walk_matches_scan ]
+  in
   Alcotest.run "geom"
     [
       ( "halfspace",
@@ -317,6 +460,10 @@ let () =
           Alcotest.test_case "box" `Quick test_vertex_enum_box;
           Alcotest.test_case "triangle" `Quick test_vertex_enum_triangle;
           Alcotest.test_case "too large" `Quick test_vertex_enum_too_large;
+          Alcotest.test_case "figure 5 regions == scan" `Quick
+            test_walk_figure5_regions;
+          Alcotest.test_case "figure 6 Q12, Q16 regions == scan" `Quick
+            test_walk_figure6_regions;
         ] );
       ( "fractional",
         [

@@ -216,15 +216,19 @@ let test_k002_fires () =
   check_diags "Vertex_enum.vertices in worst_case.ml"
     [ (1, "K002") ]
     ~file:"lib/core/worst_case.ml"
-    "let vs hs = Vertex_enum.vertices hs\n";
+    "let vs box hs = Vertex_enum.vertices ~box hs\n";
   check_diags "qualified call also fires"
     [ (1, "K002") ]
     ~file:"lib/core/worst_case.ml"
-    "let vs hs = Qsens_geom.Vertex_enum.vertices hs\n"
+    "let vs box hs = Qsens_geom.Vertex_enum.vertices ~box hs\n";
+  check_diags "the region-level entry point fires too"
+    [ (1, "K002") ]
+    ~file:"lib/core/worst_case.ml"
+    "let vs r = Region.vertices r\n"
 
 let test_k002_scoped_and_precise () =
   check_diags "other files may enumerate" []
-    ~file:"lib/core/framework.ml" "let vs hs = Vertex_enum.vertices hs\n";
+    ~file:"lib/core/candidates.ml" "let vs r = Region.vertices r\n";
   check_diags "the pruned search is the sanctioned path" []
     ~file:"lib/core/worst_case.ml"
     "let v bnb delta = Sweep.Bnb.eval bnb ~delta\n"
@@ -233,7 +237,7 @@ let test_k002_suppressible () =
   check_diags "disable comment silences" []
     ~file:"lib/core/worst_case.ml"
     "(* qsens-lint: disable=K002 — cold diagnostic path *)\n\
-     let vs hs = Vertex_enum.vertices hs\n"
+     let vs box hs = Vertex_enum.vertices ~box hs\n"
 
 (* ------------------------------------------------------------------ *)
 (* K003: allocation banned inside qsens-hot regions *)

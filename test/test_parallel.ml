@@ -189,14 +189,15 @@ let test_sequential_fallback () =
       Alcotest.(check int) "inline sum" 4950 s)
 
 (* ------------------------------------------------------------------ *)
-(* nth_subset: the combinatorial number system *)
+(* nth_subset: the combinatorial number system behind the reference
+   scan's rank chunking *)
 
 let test_nth_subset () =
   let n = 7 and k = 3 in
   let total = Vertex_enum.count_subsets n k in
   Alcotest.(check int) "C(7,3)" 35 total;
   let subsets =
-    List.init total (fun r -> Array.to_list (Vertex_enum.nth_subset n k r))
+    List.init total (fun r -> Array.to_list (Qsens_oracle.nth_subset n k r))
   in
   Alcotest.(check (list int)) "rank 0" [ 0; 1; 2 ] (List.hd subsets);
   Alcotest.(check (list int)) "last rank" [ 4; 5; 6 ]
@@ -209,8 +210,8 @@ let test_nth_subset () =
   Alcotest.(check bool) "lex order, no repeats" true
     (strictly_ascending subsets);
   Alcotest.check_raises "rank out of range"
-    (Invalid_argument "Vertex_enum.nth_subset: rank out of range") (fun () ->
-      ignore (Vertex_enum.nth_subset n k total))
+    (Invalid_argument "Qsens_oracle.nth_subset: rank out of range") (fun () ->
+      ignore (Qsens_oracle.nth_subset n k total))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: parallel results identical to sequential *)
@@ -226,21 +227,26 @@ let gen_plans ~dim_lo ~dim_hi ~plans_lo ~plans_hi =
 let same_vec a b = Vec.dim a = Vec.dim b && Array.for_all2 ( = ) a b
 
 let prop_vertices_parallel =
-  (* vertices ?pool must return the same vertex list — same floats, same
-     order — as the sequential enumeration, across dims 2..6. *)
+  (* The reference scan's ?pool chunking must return the same vertex
+     list — same floats, same order — as its sequential run, and so must
+     the production walk, across dims 2..6. *)
   QCheck.Test.make ~count:40 ~name:"vertices: parallel == sequential"
     (QCheck.make (gen_plans ~dim_lo:2 ~dim_hi:6 ~plans_lo:3 ~plans_hi:8))
     (fun (plans, delta) ->
       let m = Array.length plans.(0) in
       let box = Box.around (Vec.make m 1.) ~delta in
-      let hs = Region.halfspaces (Region.of_plans ~plans ~index:0 box) in
-      let seq = Vertex_enum.vertices hs in
-      let par2 = Vertex_enum.vertices ~pool:pool2 hs in
-      let par3 = Vertex_enum.vertices ~pool:pool3 hs in
+      let region = Region.of_plans ~plans ~index:0 box in
+      let hs = Region.halfspaces region in
+      let seq = Qsens_oracle.vertices hs in
+      let par2 = Qsens_oracle.vertices ~pool:pool2 hs in
+      let par3 = Qsens_oracle.vertices ~pool:pool3 hs in
+      let walk = Region.vertices region in
       List.length seq = List.length par2
       && List.length seq = List.length par3
+      && List.length seq = List.length walk
       && List.for_all2 same_vec seq par2
-      && List.for_all2 same_vec seq par3)
+      && List.for_all2 same_vec seq par3
+      && List.for_all2 same_vec seq walk)
 
 let prop_worst_case_gtc_parallel =
   QCheck.Test.make ~count:60 ~name:"worst_case_gtc: parallel == sequential"

@@ -189,9 +189,10 @@ let o001_scope file =
 let k001_scope file = normalize file = "lib/core/worst_case.ml"
 
 (* K002: same file.  Above the exhaustive gate the dispatcher must go
-   through the pruned search (Sweep.Bnb); a [Vertex_enum.vertices] call
-   reappearing here means a code path has regressed to materializing
-   all 2^dim box vertices. *)
+   through the pruned search (Sweep.Bnb); a call to the vertex
+   enumerator ([Vertex_enum.vertices], or [Region.vertices] in front of
+   it) reappearing here means a code path has regressed to
+   materializing polytope vertices. *)
 let k002_scope = k001_scope
 
 (* K003: the files whose [(* qsens-hot: ... *)] regions carry the
@@ -539,11 +540,14 @@ let make_iter ?(hot = []) ~file ~emit () =
               "Vec.dot in the worst-case sweep regresses the per-delta hot \
                path to the naive form; evaluate through Sweep's separable \
                tables or the packed Kernel";
-          if k002_scope file && ends_with_path p "Vertex_enum.vertices" then
+          if
+            k002_scope file
+            && (ends_with_path p "Vertex_enum.vertices"
+               || ends_with_path p "Region.vertices")
+          then
             emit "K002" e.pexp_loc
-              "Vertex_enum.vertices in the worst-case dispatcher materializes \
-               all 2^dim box vertices; go through the pruned search \
-               (Sweep.Bnb)";
+              "vertex enumeration in the worst-case dispatcher materializes \
+               polytope vertices; go through the pruned search (Sweep.Bnb)";
           if is_k003_alloc p then emit_k003 e.pexp_loc p
       | _ -> ()
 
