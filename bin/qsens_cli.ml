@@ -152,6 +152,24 @@ let lookup_query sf name =
 let deltas_upto delta_max =
   List.filter (fun d -> d <= delta_max *. 1.0001) Worst_case.default_deltas
 
+(* A plan usage beyond float range (a huge --sf) has no analysis: say so
+   and exit non-zero rather than print infinities. *)
+let non_finite m =
+  Printf.eprintf "qsens: the scale factor is out of range: %s\n" m;
+  exit 1
+
+(* Theorem 1 bounds every curve point printed: 1 <= gtc <= delta^2. *)
+let check_theorem1 name curve =
+  List.iter
+    (fun (p : Worst_case.point) ->
+      if not (Bounds.within_theorem1 ~delta:p.delta p.gtc) then begin
+        Printf.eprintf
+          "qsens: %s: Theorem 1 violated: gtc %g at delta %g is outside [1, %g]\n"
+          name p.gtc p.delta (p.delta *. p.delta);
+        exit 1
+      end)
+    curve
+
 (* ------------------------------------------------------------------ *)
 
 let explain_cmd =
@@ -185,14 +203,17 @@ let worst_case_cmd =
         with_domains domains (fun pool ->
             Experiment.run ~deltas:(deltas_upto delta) ~seed ?faults ~retry
               ?pool s)
-      with Experiment.Narrow_estimation_failed { signature; error } ->
-        Printf.eprintf "narrow probing failed%s: %s\n"
-          (match signature with
-          | Some sg -> Printf.sprintf " for plan %s" sg
-          | None -> "")
-          (Qsens_faults.Fault.error_to_string error);
-        exit 1
+      with
+      | Experiment.Narrow_estimation_failed { signature; error } ->
+          Printf.eprintf "narrow probing failed%s: %s\n"
+            (match signature with
+            | Some sg -> Printf.sprintf " for plan %s" sg
+            | None -> "")
+            (Qsens_faults.Fault.error_to_string error);
+          exit 1
+      | Qsens_optimizer.Optimizer.Non_finite m -> non_finite m
     in
+    check_theorem1 name r.curve;
     Printf.printf
       "query %s, layout %s: %d active cost parameters, %d candidate plans%s\n"
       r.query_name
@@ -235,7 +256,10 @@ let candidates_cmd =
         ~delta
     in
     let oracle = Experiment.white_box_oracle s in
-    let c = Candidates.discover ~seed oracle ~box in
+    let c =
+      try Candidates.discover ~seed oracle ~box
+      with Qsens_optimizer.Optimizer.Non_finite m -> non_finite m
+    in
     Printf.printf "%d candidate optimal plans (%d probes, %s):\n"
       (List.length c.plans) c.probes
       (if c.verified_complete then "verified complete" else "not verified");
@@ -315,9 +339,12 @@ let figure_cmd =
             (fun query ->
               let s = Experiment.setup ~schema ~policy query in
               let r =
-                Experiment.run ~deltas:(deltas_upto delta) ~seed
-                  ~max_probes:1500 ?pool s
+                try
+                  Experiment.run ~deltas:(deltas_upto delta) ~seed
+                    ~max_probes:1500 ?pool s
+                with Qsens_optimizer.Optimizer.Non_finite m -> non_finite m
               in
+              check_theorem1 r.query_name r.curve;
               Printf.eprintf "%s done (%d plans)\n%!" r.query_name
                 (List.length r.candidates.plans);
               (r.query_name, r.curve))

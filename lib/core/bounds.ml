@@ -6,6 +6,9 @@ let theorem1 ~delta ~gamma =
 
 let effective_zero eps v = eps *. Float.max 1e-300 (Vec.norm_inf v)
 
+let within_theorem1 ~delta gtc =
+  gtc >= 1. && gtc <= delta *. delta *. (1. +. 1e-9)
+
 let complementary_dims ?(eps = 1e-9) a b =
   if Vec.dim a <> Vec.dim b then
     invalid_arg "Bounds.complementary_dims: dimension mismatch";

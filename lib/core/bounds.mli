@@ -16,6 +16,11 @@ val theorem1 : delta:float -> gamma:float -> float * float
     two plans can move to when every cost component moves by at most a
     factor [delta]. *)
 
+val within_theorem1 : delta:float -> float -> bool
+(** [within_theorem1 ~delta gtc] is the postcondition every emitted
+    worst-case curve point must meet: [1 <= gtc <= delta^2 * (1 + 1e-9)]
+    (false for NaN). *)
+
 val complementary : ?eps:float -> Vec.t -> Vec.t -> bool
 (** [complementary a b] — does some component have [a_i > 0] and
     [b_i = 0] (or vice versa)?  Components are treated as zero when

@@ -74,12 +74,23 @@ let effective_active s usage =
   Projection.project s.proj
     (Groups.effective_usage s.groups ~base_costs:s.base ~usage)
 
+(* The oracle boundary: a plan whose usage overflowed (the scale factor
+   is beyond float range) must not reach discovery, whose geometry and
+   curves would silently turn it into infinities and NaNs. *)
+let finite_eff s (r : Optimizer.result) =
+  let eff = effective_active s r.plan.Node.usage in
+  if not (Array.for_all Float.is_finite eff) then
+    raise
+      (Optimizer.Non_finite
+         (Printf.sprintf "plan %s has a non-finite resource usage" r.signature));
+  eff
+
 let white_box_oracle s =
   let prepared = Optimizer.prepare s.env s.query in
   Oracle.make ~dim:(Projection.active_dim s.proj) ~probe:(fun theta ->
       let costs = expand_theta s theta in
       let r = Optimizer.best prepared ~costs in
-      (r.signature, effective_active s r.plan.Node.usage))
+      (r.signature, finite_eff s r))
 
 let narrow_oracle ?(seed = 23) ?faults ?retry ?breaker s ~box =
   let narrow = Narrow.create ?faults s.env s.query in

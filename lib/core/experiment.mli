@@ -51,7 +51,9 @@ val expand_theta : setup -> Vec.t -> Vec.t
 
 val white_box_oracle : setup -> Oracle.t
 (** Probes our optimizer directly.  The oracle holds one
-    {!Optimizer.prepared} plan space, built on its first probe. *)
+    {!Optimizer.prepared} plan space, built on its first probe.  A probe
+    raises {!Optimizer.Non_finite} when the plan's usage is not finite
+    (a scale factor beyond float range). *)
 
 val narrow_oracle :
   ?seed:int ->

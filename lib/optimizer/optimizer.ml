@@ -190,6 +190,8 @@ end
 (* Element [i] of a frozen table. *)
 let[@inline] cget (c : 'a array array) i = c.(i lsr 7).(i land 127)
 
+exception Non_finite of string
+
 let invariant what = failwith ("Optimizer.prepare: plan-space invariant: " ^ what)
 
 (* Enumerate the plan space once, in the exact order of the memo DP —
@@ -345,7 +347,15 @@ let build ~max_bushy_side env (query : Query.t) =
           v;
         u
   in
-  let local node = local_id (Node.local_usage ctx node) in
+  let local node =
+    let u = Node.local_usage ctx node in
+    if not (Array.for_all Float.is_finite u) then
+      raise
+        (Non_finite
+           (Printf.sprintf "operator %s has a non-finite resource usage"
+              (Node.signature node)));
+    local_id u
+  in
   (* Slots. *)
   let slot_first = Array.make (full + 2) 0 in
   let slot_ord = Dyn.create () and slot_width = Dyn.create () in

@@ -36,6 +36,14 @@ type prepared
     the first {!best} call, so holding one costs nothing until then.
     Safe to share between domains. *)
 
+exception Non_finite of string
+(** Raised when a plan's resource usage is not a finite vector — the
+    catalog's statistics (a scale factor near the float range) push the
+    cost formulas past [max_float].  The plan space is then meaningless,
+    so no plan is returned.  {!best} raises it while enumerating an
+    operator whose local usage overflows; the experiment's oracles
+    raise it for a chosen plan whose summed usage does. *)
+
 val prepare : ?max_bushy_side:int -> Env.t -> Query.t -> prepared
 (** [max_bushy_side] (default 2) bounds the smaller side of a bushy
     join. *)
@@ -44,8 +52,8 @@ val best : prepared -> costs:Vec.t -> result
 (** [best p ~costs] is the plan minimizing estimated total cost under the
     resource cost vector [costs] (the estimated optimal plan of Section
     3.3).  Raises [Invalid_argument] if [costs] does not match the
-    layout's resource space, or [Failure] for queries with no
-    relations. *)
+    layout's resource space, {!Non_finite} when the plan space has a
+    non-finite usage, or [Failure] for queries with no relations. *)
 
 val optimize : ?max_bushy_side:int -> Env.t -> Query.t -> costs:Vec.t -> result
 (** One-shot [best (prepare env q) ~costs]. *)

@@ -336,17 +336,24 @@ let candidates_for t (tg : target) s ~delta_max =
         tg.max_probes )
   in
   match Lru.find t.candidates_cache key with
-  | Some c -> c
-  | None ->
+  | Some c -> Ok c
+  | None -> (
       let m = Projection.active_dim s.Experiment.proj in
       let box = Box.around (Vec.make m 1.) ~delta:delta_max in
       let oracle = Experiment.white_box_oracle s in
-      let c =
+      match
         Candidates.discover ~seed:tg.seed ?max_probes:tg.max_probes
           ?pool:t.pool oracle ~box
-      in
-      Lru.put t.candidates_cache key c;
-      c
+      with
+      | c ->
+          Lru.put t.candidates_cache key c;
+          Ok c
+      | exception Qsens_optimizer.Optimizer.Non_finite m ->
+          (* Usage beyond float range: only the request's scale factor
+             can cause it, so it is a client error. *)
+          malformed
+            (Printf.sprintf "\"sf\" %g is out of range for %s: %s" tg.sf
+               tg.query_name m))
 
 let sweep_for t ~plans ~initial ~center =
   let key = digest_key ("sweep", plans, initial, center) in
@@ -382,7 +389,7 @@ let get_analysis t req =
   let* allowance = get_budget t req in
   let* s = setup_for t tg in
   let delta_max = List.fold_left Float.max 1. deltas in
-  let cands = candidates_for t tg s ~delta_max in
+  let* cands = candidates_for t tg s ~delta_max in
   let plans =
     Array.of_list (List.map (fun p -> p.Candidates.eff) cands.Candidates.plans)
   in
@@ -574,6 +581,26 @@ let ladder t a ~initials ~render ~estimate ~caveat =
 (* ------------------------------------------------------------------ *)
 (* Analysis ops *)
 
+(* Theorem 1 bounds the worst-case GTC of the plan chosen at the
+   estimate: a point outside [1, delta^2] is an internal failure, never
+   an answer.  Any other candidate's regret is at least 1 and finite. *)
+let theorem1 ~delta gtc =
+  if not (Bounds.within_theorem1 ~delta gtc) then
+    failwith
+      (Printf.sprintf "Theorem 1 violated: gtc %g at delta %g is outside [1, %g]"
+         gtc delta (delta *. delta));
+  gtc
+
+let check_regrets ~delta ~classic regret =
+  Array.iteri
+    (fun i g ->
+      if i = classic then ignore (theorem1 ~delta g)
+      else if not (g >= 1. && Float.is_finite g) then
+        failwith
+          (Printf.sprintf "regret %g of candidate %d at delta %g is not in [1, inf)"
+             g i delta))
+    regret
+
 let analysis_response a ~op ~extra ~points_key (r : evaluated) =
   Ok
     ([
@@ -596,7 +623,9 @@ let op_worst_case t req =
   let* a = get_analysis t req in
   let initial = a.cands.Candidates.initial.Candidates.eff in
   ladder t a ~initials:[| initial |]
-    ~render:(fun ~delta:_ col -> point_json col.(0))
+    ~render:(fun ~delta col ->
+      ignore (theorem1 ~delta col.(0).Worst_case.gtc);
+      point_json col.(0))
     ~estimate:(fun b ~delta ->
       let s =
         Monte_carlo.gtc_distribution ~seed:a.tg.seed
@@ -606,7 +635,7 @@ let op_worst_case t req =
       Json.Obj
         [
           ("delta", Json.num delta);
-          ("gtc", Json.num s.Monte_carlo.max_seen);
+          ("gtc", Json.num (theorem1 ~delta s.Monte_carlo.max_seen));
           ("p99", Json.num s.Monte_carlo.p99);
           ("samples", Json.num (Float.of_int s.Monte_carlo.samples));
         ])
@@ -629,13 +658,17 @@ let op_select t req =
   ladder t a ~initials:plans
     ~render:(fun ~delta col ->
       let regret = Array.map (fun (p : Worst_case.point) -> p.gtc) col in
+      check_regrets ~delta ~classic regret;
       select_point_json
         (Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
            ~fallbacks:0))
     ~estimate:(fun b ~delta ->
-      select_point_json
-        (Select.estimate ~seed:a.tg.seed ~samples:t.config.mc_samples
-           ~budget:b ~plans ~delta ()))
+      let p =
+        Select.estimate ~seed:a.tg.seed ~samples:t.config.mc_samples
+          ~budget:b ~plans ~delta ()
+      in
+      check_regrets ~delta ~classic p.Select.regret;
+      select_point_json p)
     ~caveat:
       "regret column is a lower-bound estimate from seeded sampling; \
        classic/lec columns are exact; exact tiers exceeded the budget"
@@ -659,7 +692,7 @@ let op_candidates t req =
     | None -> Ok (List.fold_left Float.max 1. Worst_case.default_deltas)
   in
   let* s = setup_for t tg in
-  let c = candidates_for t tg s ~delta_max in
+  let* c = candidates_for t tg s ~delta_max in
   Ok
     [
       ("op", Json.Str "candidates");

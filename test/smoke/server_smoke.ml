@@ -12,7 +12,9 @@
    branch-and-bound, and the oversized batch shed with typed errors.
    Before the checked client runs, a rude client connects, sends a
    request and disconnects without reading the reply: the EPIPE on the
-   server's answer must not kill the accept loop. *)
+   server's answer must not kill the accept loop.  Last, `qsens
+   worst-case` at a scale factor whose plan usage overflows must exit 1
+   with a message. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -146,6 +148,26 @@ let () =
   expect
     (contains ~needle:"\"op\":\"shutdown\"" out)
     "shutdown not acknowledged";
+  (* A scale factor whose plan usage overflows is refused with a message
+     and a non-zero exit, never printed as a curve of infinities. *)
+  List.iter
+    (fun sf ->
+      let err = Filename.concat dir ("sf-" ^ sf ^ ".err") in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+      let pid =
+        Unix.create_process cli
+          [| cli; "worst-case"; "Q3"; "-l"; "same"; "--sf"; sf |]
+          null null err_fd
+      in
+      Unix.close null;
+      Unix.close err_fd;
+      let _, status = Unix.waitpid [] pid in
+      expect
+        (status = Unix.WEXITED 1
+        && contains ~needle:"scale factor is out of range" (read_file err))
+        ("worst-case Q3 --sf " ^ sf ^ " did not exit 1 with an out-of-range message"))
+    [ "1e100"; "1e300" ];
   match !failures with
   | [] -> print_endline "server-smoke: all checks passed"
   | msgs ->

@@ -444,6 +444,51 @@ let test_sf_validation () =
        (Server.handle_line t
           "{\"op\":\"candidates\",\"query\":\"Q6\",\"sf\":-1}"))
 
+(* Huge but finite scale factors push plan usage past float range.
+   Every analysis op answers such a request [malformed] (a client error
+   that never counts against the breaker) — or, where the usage stays
+   finite (Q6 at 1e100), answers [ok] with every curve point inside
+   Theorem 1.  Never [ok] with infinities, never [failed]. *)
+let test_huge_sf () =
+  let t = Server.create ~config:small_config () in
+  let line ~op ~query sf =
+    Printf.sprintf
+      "{\"op\":%S,\"query\":%S,\"layout\":\"same\",\"deltas\":[1,10,100],\
+       \"sf\":%s}"
+      op query sf
+  in
+  List.iter
+    (fun (query, sf, expect) ->
+      List.iter
+        (fun op ->
+          let resp = Server.handle_line t (line ~op ~query sf) in
+          let what = Printf.sprintf "%s %s sf %s" op query sf in
+          Alcotest.(check string) what expect (error_kind resp);
+          if String.equal op "worst_case" && String.equal expect "ok" then
+            match response_field resp "points" with
+            | Some (Json.List points) ->
+                List.iter
+                  (fun p ->
+                    match
+                      ( Option.bind (Json.member "delta" p) Json.to_float,
+                        Option.bind (Json.member "gtc" p) Json.to_float )
+                    with
+                    | Some delta, Some gtc ->
+                        Alcotest.(check bool) (what ^ ": Theorem 1") true
+                          (Qsens_core.Bounds.within_theorem1 ~delta gtc)
+                    | _ -> Alcotest.fail (what ^ ": point without a finite gtc"))
+                  points
+            | _ -> Alcotest.fail (what ^ ": no points"))
+        [ "worst_case"; "select"; "candidates" ])
+    [
+      ("Q3", "1e100", "malformed");
+      ("Q3", "1e300", "malformed");
+      ("Q6", "1e300", "malformed");
+      ("Q6", "1e100", "ok");
+    ];
+  Alcotest.(check string) "still served" "ok"
+    (error_kind (Server.handle_line t (analysis_line ~op:"worst_case" "")))
+
 let test_candidates_delta_validation () =
   let t = Server.create ~config:small_config () in
   List.iter
@@ -738,6 +783,7 @@ let () =
           Alcotest.test_case "ladder golden" `Quick test_ladder_golden;
           Alcotest.test_case "budget validation" `Quick test_budget_validation;
           Alcotest.test_case "sf validation" `Quick test_sf_validation;
+          Alcotest.test_case "huge sf" `Quick test_huge_sf;
           Alcotest.test_case "candidates delta validation" `Quick
             test_candidates_delta_validation;
         ] );
