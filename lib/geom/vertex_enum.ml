@@ -556,8 +556,12 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
             | inv -> Some inv
             | exception Mat.Singular -> None
           in
+          (* The raw solve decides acceptance, as in the scan; when it
+             reports a singular system the walk still moves on from the
+             normalized vertex. *)
+          let raw = raw_solve basis in
           let x =
-            match (raw_solve basis, inv) with
+            match (raw, inv) with
             | Some x, _ -> Some x
             | None, Some inv -> Some (Mat.mul_vec inv (Vec.init n (fun i -> off.(basis.(i)))))
             | None, None -> None
@@ -565,7 +569,7 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
           match (x, inv) with
           | None, _ -> ()
           | Some x, inv ->
-              let ok = satisfies_all x in
+              let ok = Option.is_some raw && satisfies_all x in
               if ok then accepted := (basis, x) :: !accepted;
               let res = residuals x and r0 = noise x in
               let feasible = Array.for_all2 (fun v t -> v <= t +. r0) res tol in
