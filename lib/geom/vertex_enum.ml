@@ -474,7 +474,9 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
         arr
     in
     let off = Array.mapi (fun r o -> if live r then o /. norm.(r) else o) offsets in
-    let tol = Array.map (fun nr -> if nr > 0. then slack *. eps /. nr else infinity) norm in
+    let tol =
+      Array.map (fun nr -> if nr > 0. then slack *. eps /. nr else infinity) norm
+    in
     let residuals x =
       Array.init count (fun r ->
           if live r then Vec.dot dir.(r) x -. off.(r) else neg_infinity)
@@ -488,9 +490,8 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
       Array.init count (fun r ->
           (dir.(r), if live r then off.(r) +. tol.(r) else infinity))
     in
-    match
-      Simplex.feasible_basis ~rel relaxed (Array.init n (fun i -> k + (2 * i) + 1))
-    with
+    let low_corner = Array.init n (fun i -> k + (2 * i) + 1) in
+    match Simplex.feasible_basis ~rel relaxed low_corner with
     | Simplex.Empty -> []
     | Simplex.Stalled -> raise Too_large
     | Simplex.Vertex start ->
@@ -515,17 +516,17 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
         let accepted = ref [] in
         let in_basis = Array.make count false in
         let dirs = Mat.of_rows (Array.to_list dir) in
-        (* From basis [basis] at [x] (residuals [res], tolerance slack
-           [r0]), every exchange along the edge that leaves row
-           [basis.(p)], whose direction has [rate.(r)] against row [r]. *)
+        (* From a basis with residuals [res] (rounding slack [r0]), every
+           exchange along the edge that leaves row [basis.(p)]; [rate r]
+           is row [r]'s rate of change along that edge. *)
         let expand basis res r0 p rate =
           let lp = basis.(p) in
           (* The tolerance-feasible stretch [t_lo, t_hi] of the edge. *)
           let t_lo = ref (res.(lp) -. tol.(lp) -. r0) and t_hi = ref infinity in
           for r = 0 to count - 1 do
-            let a = rate r in
-            if a > 0. then t_hi := Float.min !t_hi ((tol.(r) +. r0 -. res.(r)) /. a)
-            else if a < 0. then t_lo := Float.max !t_lo ((tol.(r) +. r0 -. res.(r)) /. a)
+            let a = rate r and room = tol.(r) +. r0 -. res.(r) in
+            if a > 0. then t_hi := Float.min !t_hi (room /. a)
+            else if a < 0. then t_lo := Float.max !t_lo (room /. a)
           done;
           (* Every row whose tolerance band meets the stretch enters:
              ties, near-ties, and rows (nearly) parallel to the edge. *)
@@ -535,8 +536,10 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
               let meets =
                 if Float.equal a 0. then Float.abs res.(r) <= band
                 else begin
-                  let t1 = (-.band -. res.(r)) /. a and t2 = (band -. res.(r)) /. a in
-                  Float.max !t_lo (Float.min t1 t2) <= Float.min !t_hi (Float.max t1 t2)
+                  let t1 = (-.band -. res.(r)) /. a
+                  and t2 = (band -. res.(r)) /. a in
+                  Float.max !t_lo (Float.min t1 t2)
+                  <= Float.min !t_hi (Float.max t1 t2)
                 end
               in
               if meets then begin
@@ -548,47 +551,39 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
             end
           done
         in
-        while not (Queue.is_empty queue) do
-          let basis = Queue.pop queue in
+        let visit basis =
           Obs.add m_bases 1;
-          let inv =
-            match Mat.inverse (Mat.init n n (fun i j -> dir.(basis.(i)).(j))) with
-            | inv -> Some inv
-            | exception Mat.Singular -> None
-          in
-          (* The raw solve decides acceptance, as in the scan; when it
-             reports a singular system the walk still moves on from the
-             normalized vertex. *)
+          (* Acceptance is the scan's: the raw solve, then the raw test. *)
           let raw = raw_solve basis in
-          let x =
-            match (raw, inv) with
-            | Some x, _ -> Some x
-            | None, Some inv -> Some (Mat.mul_vec inv (Vec.init n (fun i -> off.(basis.(i)))))
-            | None, None -> None
-          in
-          match (x, inv) with
-          | None, _ -> ()
-          | Some x, inv ->
-              let ok = Option.is_some raw && satisfies_all x in
-              if ok then accepted := (basis, x) :: !accepted;
+          let ok = match raw with Some x -> satisfies_all x | None -> false in
+          if ok then accepted := (basis, Option.get raw) :: !accepted;
+          match Mat.inverse (Mat.init n n (fun i j -> dir.(basis.(i)).(j))) with
+          | exception Mat.Singular -> ()
+          | inv ->
+              (* The walk moves on from the raw vertex, or from the
+                 normalized one where the raw system is singular. *)
+              let x =
+                match raw with
+                | Some x -> x
+                | None -> Mat.mul_vec inv (Vec.init n (fun i -> off.(basis.(i))))
+              in
               let res = residuals x and r0 = noise x in
               let feasible = Array.for_all2 (fun v t -> v <= t +. r0) res tol in
               if feasible && not ok then Obs.add m_eps_rejects 1;
-              Option.iter
-                (fun inv ->
-                  if feasible || ok then begin
-                    Array.iter (fun r -> in_basis.(r) <- true) basis;
-                    (* Rates of every row against every edge direction:
-                       the edge leaving [basis.(p)] is column [p] of the
-                       inverse, negated. *)
-                    let rates = Mat.mul dirs inv in
-                    for p = 0 to n - 1 do
-                      expand basis res r0 p (fun r ->
-                          if live r && not in_basis.(r) then -.Mat.get rates r p else 0.)
-                    done;
-                    Array.iter (fun r -> in_basis.(r) <- false) basis
-                  end)
-                inv
+              if feasible || ok then begin
+                Array.iter (fun r -> in_basis.(r) <- true) basis;
+                (* The edge leaving [basis.(p)] is column [p] of the
+                   inverse, negated. *)
+                let rates = Mat.mul dirs inv in
+                for p = 0 to n - 1 do
+                  expand basis res r0 p (fun r ->
+                      if live r && not in_basis.(r) then -.Mat.get rates r p else 0.)
+                done;
+                Array.iter (fun r -> in_basis.(r) <- false) basis
+              end
+        in
+        while not (Queue.is_empty queue) do
+          visit (Queue.pop queue)
         done;
         (* Replay in lexicographic subset order through the scan's grid. *)
         let grid = Grid.create ~eps ~dim:n in

@@ -154,7 +154,9 @@ let () =
     (fun sf ->
       let err = Filename.concat dir ("sf-" ^ sf ^ ".err") in
       let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+      let err_fd =
+        Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+      in
       let pid =
         Unix.create_process cli
           [| cli; "worst-case"; "Q3"; "-l"; "same"; "--sf"; sf |]
@@ -166,7 +168,8 @@ let () =
       expect
         (status = Unix.WEXITED 1
         && contains ~needle:"scale factor is out of range" (read_file err))
-        ("worst-case Q3 --sf " ^ sf ^ " did not exit 1 with an out-of-range message"))
+        ("worst-case Q3 --sf " ^ sf
+       ^ " did not exit 1 with an out-of-range message"))
     [ "1e100"; "1e300" ];
   match !failures with
   | [] -> print_endline "server-smoke: all checks passed"

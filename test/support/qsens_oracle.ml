@@ -449,7 +449,7 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ?pool hs =
               Pool.run p
                 (Array.init chunks (fun c ->
                      let lo, hi = Pool.chunk_bounds ~n:total ~chunks c in
-                     (* qsens-lint: disable=P001 — each task writes only its own chunk slot *)
+                     (* qsens-lint: disable=P001 — one chunk slot per task *)
                      fun () -> parts.(c) <- candidates ~start:lo ~len:(hi - lo)));
               Array.to_list parts
           | _ -> [ candidates ~start:0 ~len:total ]

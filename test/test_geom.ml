@@ -222,7 +222,8 @@ let discovery_regions policy name ~seed =
          let plans =
            Array.sub found 0 (len + 1)
            |> Array.to_list
-           |> List.sort (fun (a : Candidates.plan) b -> String.compare a.signature b.signature)
+           |> List.sort (fun (a : Candidates.plan) b ->
+                  String.compare a.signature b.signature)
            |> List.map (fun (p : Candidates.plan) -> p.eff)
            |> Array.of_list
          in
