@@ -204,9 +204,14 @@ let feasible_basis ~rel rows start =
   (* The pivot out of [basis] that lowers the total violation at [x],
      or [None] at a minimum. *)
   let pivot basis inv x =
-    let noise = rel *. (1. +. Vec.norm_inf x) in
     let res = Array.map (fun (a, b) -> Vec.dot a x -. b) rows in
-    let violated r = (not in_basis.(r)) && res.(r) > noise in
+    (* Rounding slack per row: [rel] times the magnitude of its terms. *)
+    let noise r =
+      let acc = ref 1. in
+      Array.iteri (fun i a -> acc := !acc +. Float.abs (a *. x.(i))) (fst rows.(r));
+      rel *. !acc
+    in
+    let violated r = (not in_basis.(r)) && res.(r) > noise r in
     (* Leaving rows in ascending index order: [basis] is sorted. *)
     let rec leave p =
       if p = n then None

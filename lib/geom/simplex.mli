@@ -42,7 +42,8 @@ type phase_one =
 val feasible_basis : rel:float -> (Vec.t * float) array -> int array -> phase_one
 (** [feasible_basis ~rel rows start] finds a vertex of [{ x | a . x <= b
     for every (a, b) in rows }]: [n] row indices, tight at a point [x]
-    that satisfies every row within [rel * (1 + |x|_inf)] (rounding).
+    that satisfies every row within [rel * (1 + sum |a_i x_i|)]
+    (rounding).
     [start] is any nonsingular
     basis (ascending), e.g. [n] box facets.  Phase one on the inequality
     form: each pivot lowers the total violation, refactorizes the basis

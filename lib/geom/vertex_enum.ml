@@ -420,11 +420,11 @@ let m_eps_rejects =
     "vertex_enum.eps_rejects"
 
 (* The walk's tolerance, in normalized (unit-normal) units: [slack]
-   acceptance slacks [eps / |normal|] per row, plus [rel] times the
-   point's magnitude for the rounding of the raw products (which the
-   absolute test does not scale). *)
+   acceptance slacks [eps / |normal|] per row, plus [rel] times
+   [1 + sum |h_i x_i|] for the rounding of the row's terms. *)
 let slack = 4.
 let rel = 1e-10
+let grazing = 1e-6
 
 (* Lexicographic order of equal-length ascending subsets: the scan's
    rank order. *)
@@ -481,7 +481,21 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
       Array.init count (fun r ->
           if live r then Vec.dot dir.(r) x -. off.(r) else neg_infinity)
     in
-    let noise x = rel *. (1. +. Vec.norm_inf x) in
+    (* Per-row rounding slack at [x]. *)
+    let noise x =
+      Array.init count (fun r ->
+          let acc = ref 1. in
+          Array.iteri (fun i a -> acc := !acc +. Float.abs (a *. x.(i))) dir.(r);
+          rel *. !acc)
+    in
+    let bands x = Array.map2 ( +. ) tol (noise x) in
+    (* The vertex of [basis] in the normalized system, and the inverse
+       whose columns are its edges. *)
+    let normalized basis =
+      match Mat.inverse (Mat.init n n (fun i j -> dir.(basis.(i)).(j))) with
+      | exception Mat.Singular -> None
+      | inv -> Some (inv, Mat.mul_vec inv (Vec.init n (fun i -> off.(basis.(i)))))
+    in
     (* Start: phase one from the box's low corner finds a vertex of the
        system relaxed by the walk tolerance, inside which every accepted
        point lies with [slack - 1] acceptance slacks to spare. *)
@@ -498,12 +512,12 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
         (* The start's exact vertex may sit just outside the relaxed
            system it was found in: widen the tolerance to cover it. *)
         Option.iter
-          (fun x ->
-            let r0 = noise x in
+          (fun (_, x) ->
+            let band = bands x in
             Array.iteri
-              (fun r v -> if v > tol.(r) +. r0 then tol.(r) <- 2. *. v)
+              (fun r v -> if v > band.(r) then tol.(r) <- 2. *. v)
               (residuals x))
-          (raw_solve start);
+          (normalized start);
         let visited : (int array, unit) Hashtbl.t = Hashtbl.create 256 in
         let queue = Queue.create () in
         let push b =
@@ -516,28 +530,30 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
         let accepted = ref [] in
         let in_basis = Array.make count false in
         let dirs = Mat.of_rows (Array.to_list dir) in
-        (* From a basis with residuals [res] (rounding slack [r0]), every
+        (* From a basis with residuals [res] and tolerances [band], every
            exchange along the edge that leaves row [basis.(p)]; [rate r]
            is row [r]'s rate of change along that edge. *)
-        let expand basis res r0 p rate =
+        let expand basis res band p rate =
           let lp = basis.(p) in
-          (* The tolerance-feasible stretch [t_lo, t_hi] of the edge. *)
-          let t_lo = ref (res.(lp) -. tol.(lp) -. r0) and t_hi = ref infinity in
+          (* The tolerance-feasible stretch [t_lo, t_hi] of the edge.  A
+             row within [grazing] of parallel to the edge does not bound
+             it: the raw solve of a basis beyond such a row can land on
+             either side of it. *)
+          let t_lo = ref (res.(lp) -. band.(lp)) and t_hi = ref infinity in
           for r = 0 to count - 1 do
-            let a = rate r and room = tol.(r) +. r0 -. res.(r) in
-            if a > 0. then t_hi := Float.min !t_hi (room /. a)
-            else if a < 0. then t_lo := Float.max !t_lo (room /. a)
+            let a = rate r and room = band.(r) -. res.(r) in
+            if a > grazing then t_hi := Float.min !t_hi (room /. a)
+            else if a < -.grazing then t_lo := Float.max !t_lo (room /. a)
           done;
           (* Every row whose tolerance band meets the stretch enters:
              ties, near-ties, and rows (nearly) parallel to the edge. *)
           for r = 0 to count - 1 do
             if live r && not in_basis.(r) then begin
-              let a = rate r and band = tol.(r) +. r0 in
+              let a = rate r and b = band.(r) in
               let meets =
-                if Float.equal a 0. then Float.abs res.(r) <= band
+                if Float.equal a 0. then Float.abs res.(r) <= b
                 else begin
-                  let t1 = (-.band -. res.(r)) /. a
-                  and t2 = (band -. res.(r)) /. a in
+                  let t1 = (-.b -. res.(r)) /. a and t2 = (b -. res.(r)) /. a in
                   Float.max !t_lo (Float.min t1 t2)
                   <= Float.min !t_hi (Float.max t1 t2)
                 end
@@ -557,18 +573,14 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
           let raw = raw_solve basis in
           let ok = match raw with Some x -> satisfies_all x | None -> false in
           if ok then accepted := (basis, Option.get raw) :: !accepted;
-          match Mat.inverse (Mat.init n n (fun i j -> dir.(basis.(i)).(j))) with
-          | exception Mat.Singular -> ()
-          | inv ->
-              (* The walk moves on from the raw vertex, or from the
-                 normalized one where the raw system is singular. *)
-              let x =
-                match raw with
-                | Some x -> x
-                | None -> Mat.mul_vec inv (Vec.init n (fun i -> off.(basis.(i))))
-              in
-              let res = residuals x and r0 = noise x in
-              let feasible = Array.for_all2 (fun v t -> v <= t +. r0) res tol in
+          (* The walk moves on from the normalized vertex: where a tiny
+             coefficient of a huge raw row is the elimination's pivot, the
+             raw solution can sit 1e-4 off its own hyperplanes. *)
+          match normalized basis with
+          | None -> ()
+          | Some (inv, x) ->
+              let res = residuals x and band = bands x in
+              let feasible = Array.for_all2 ( <= ) res band in
               if feasible && not ok then Obs.add m_eps_rejects 1;
               if feasible || ok then begin
                 Array.iter (fun r -> in_basis.(r) <- true) basis;
@@ -576,7 +588,7 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
                    inverse, negated. *)
                 let rates = Mat.mul dirs inv in
                 for p = 0 to n - 1 do
-                  expand basis res r0 p (fun r ->
+                  expand basis res band p (fun r ->
                       if live r && not in_basis.(r) then -.Mat.get rates r p else 0.)
                 done;
                 Array.iter (fun r -> in_basis.(r) <- false) basis
