@@ -407,9 +407,9 @@ end
    grid, so the vertex list is the scan's, bit for bit and in order.
    Which bases get visited is decided on the row-normalized system with
    a tolerance looser than the acceptance test: from a walk-feasible
-   basis, every exchange whose ratio-test point stays within tolerance
-   is a neighbour, so ties and near-ties (degenerate and contracted
-   vertices) are all expanded.  The walk only ever visits [n]-subsets,
+   basis, every exchange whose entering row's tolerance band meets the
+   edge's tolerance-feasible stretch is a neighbour, so ties and
+   near-ties (degenerate and contracted vertices) are all expanded.  The walk only ever visits [n]-subsets,
    so [max_subsets] bounds it as it bounded the scan. *)
 
 let m_bases = Obs.counter ~help:"bases the vertex walk visited" "vertex_enum.bases"
