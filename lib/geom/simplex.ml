@@ -218,15 +218,25 @@ let feasible_basis ~rel rows start =
       else begin
         let d = Vec.init n (fun i -> -.Mat.get inv i p) in
         let rate = Array.map (fun (a, _) -> Vec.dot a d) rows in
-        let slope = ref 0. in
-        Array.iteri (fun r a -> if violated r then slope := !slope +. a) rate;
+        (* The slope of the total violation along the edge, and the
+           rounding it carries: a slope inside that is no descent. *)
+        let slope = ref 0. and slop = ref 0. in
+        Array.iteri
+          (fun r a ->
+            if violated r then begin
+              slope := !slope +. a;
+              Array.iteri
+                (fun i c -> slop := !slop +. Float.abs (c *. d.(i)))
+                (fst rows.(r))
+            end)
+          rate;
         (* First breakpoint: a satisfied row becoming violated, or a
            violated one becoming satisfied.  A row parallel to the edge
            up to rounding (a duplicate of a basis row) cannot enter: the
            basis would be singular. *)
         let parallel = 1e-12 *. Vec.norm_inf d in
         let best = ref (-1) and best_t = ref infinity in
-        if !slope < -1e-15 then
+        if !slope < -1e-13 *. !slop then
           for r = 0 to count - 1 do
             let a = rate.(r) in
             if (not in_basis.(r)) && Float.abs a > parallel then begin

@@ -421,7 +421,11 @@ let m_eps_rejects =
 
 (* The walk's tolerance, in normalized (unit-normal) units: [slack]
    acceptance slacks [eps / |normal|] per row, plus [rel] times
-   [1 + sum |h_i x_i|] for the rounding of the row's terms. *)
+   [1 + sum |h_i x_i|] for the rounding of the row's terms.  Which
+   neighbours to visit uses the looser [rel (1 + |x|_inf)] in place of
+   the second term: a visit is one raw solve, and the raw solve of an
+   ill-conditioned basis can land inside the polytope although its
+   exact vertex does not. *)
 let slack = 4.
 let rel = 1e-10
 let grazing = 1e-6
@@ -587,6 +591,8 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
                 (* The edge leaving [basis.(p)] is column [p] of the
                    inverse, negated. *)
                 let rates = Mat.mul dirs inv in
+                let wide = rel *. (1. +. Vec.norm_inf x) in
+                let band = Array.map2 (fun b t -> Float.max b (t +. wide)) band tol in
                 for p = 0 to n - 1 do
                   expand basis res band p (fun r ->
                       if live r && not in_basis.(r) then -.Mat.get rates r p else 0.)
