@@ -194,15 +194,22 @@ let feasible_in_box box hs =
    that differ by 1e-10 stay distinguishable).  The objective is the
    total violation; each step leaves the lowest-index basis row whose
    edge reduces it and enters the first row the edge meets, lowest index
-   on ties (Bland's rule, which rules out cycling). *)
+   on ties (Bland's rule, which rules out cycling).  An entering row
+   whose exchange {!Mat.inverse} finds singular is passed over for the
+   next row the edge meets. *)
 type phase_one = Vertex of int array | Empty | Stalled
 
 let feasible_basis ~rel rows start =
   let count = Array.length rows and n = Array.length start in
   let limit = 100 * (count + 1) * (n + 1) in
   let in_basis = Array.make count false in
+  let invert basis =
+    match Mat.inverse (Mat.init n n (fun i j -> (fst rows.(basis.(i))).(j))) with
+    | exception Mat.Singular -> None
+    | inv -> Some (basis, inv)
+  in
   (* The pivot out of [basis] that lowers the total violation at [x],
-     or [None] at a minimum. *)
+     with the inverse of the new basis, or [None] at a minimum. *)
   let pivot basis inv x =
     let res = Array.map (fun (a, b) -> Vec.dot a x -. b) rows in
     (* Rounding slack per row: [rel] times the magnitude of its terms. *)
@@ -230,14 +237,14 @@ let feasible_basis ~rel rows start =
                 (fst rows.(r))
             end)
           rate;
-        (* First breakpoint: a satisfied row becoming violated, or a
-           violated one becoming satisfied.  A row parallel to the edge
-           up to rounding (a duplicate of a basis row) cannot enter: the
-           basis would be singular. *)
+        (* Breakpoints: a satisfied row becoming violated, or a violated
+           one becoming satisfied.  A row parallel to the edge up to
+           rounding (a duplicate of a basis row) cannot enter: the basis
+           would be singular. *)
         let parallel = 1e-12 *. Vec.norm_inf d in
-        let best = ref (-1) and best_t = ref infinity in
+        let entering = ref [] in
         if !slope < -1e-13 *. !slop then
-          for r = 0 to count - 1 do
+          for r = count - 1 downto 0 do
             let a = rate.(r) in
             if (not in_basis.(r)) && Float.abs a > parallel then begin
               let t =
@@ -245,37 +252,37 @@ let feasible_basis ~rel rows start =
                 else if a > 0. then Float.max 0. (-.res.(r) /. a)
                 else infinity
               in
-              if t < !best_t then begin
-                best := r;
-                best_t := t
-              end
+              if t < infinity then entering := (t, r) :: !entering
             end
           done;
-        if !best < 0 then leave (p + 1)
-        else begin
+        let first_met (t1, r1) (t2, r2) =
+          match Float.compare t1 t2 with 0 -> Int.compare r1 r2 | c -> c
+        in
+        let exchange (_, r) =
           let nb = Array.copy basis in
-          nb.(p) <- !best;
+          nb.(p) <- r;
           Array.sort Int.compare nb;
-          Some nb
-        end
+          invert nb
+        in
+        match List.find_map exchange (List.stable_sort first_met !entering) with
+        | None -> leave (p + 1)
+        | next -> next
       end
     in
     if Array.exists Fun.id (Array.init count violated) then `Pivot (leave 0)
     else `Feasible
   in
-  let rec step basis iter =
-    let m = Mat.init n n (fun i j -> (fst rows.(basis.(i))).(j)) in
-    match Mat.inverse m with
-    | exception Mat.Singular -> Stalled
-    | _ when iter > limit -> Stalled
-    | inv -> (
-        let x = Mat.mul_vec inv (Vec.init n (fun i -> snd rows.(basis.(i)))) in
-        Array.iter (fun r -> in_basis.(r) <- true) basis;
-        let next = pivot basis inv x in
-        Array.iter (fun r -> in_basis.(r) <- false) basis;
-        match next with
-        | `Feasible -> Vertex basis
-        | `Pivot None -> Empty
-        | `Pivot (Some nb) -> step nb (iter + 1))
+  let rec step (basis, inv) iter =
+    if iter > limit then Stalled
+    else begin
+      let x = Mat.mul_vec inv (Vec.init n (fun i -> snd rows.(basis.(i)))) in
+      Array.iter (fun r -> in_basis.(r) <- true) basis;
+      let next = pivot basis inv x in
+      Array.iter (fun r -> in_basis.(r) <- false) basis;
+      match next with
+      | `Feasible -> Vertex basis
+      | `Pivot None -> Empty
+      | `Pivot (Some b) -> step b (iter + 1)
+    end
   in
-  step (Array.copy start) 0
+  match invert (Array.copy start) with None -> Stalled | Some b -> step b 0

@@ -409,8 +409,9 @@ end
    a tolerance looser than the acceptance test: from a walk-feasible
    basis, every exchange whose entering row's tolerance band meets the
    edge's tolerance-feasible stretch is a neighbour, so ties and
-   near-ties (degenerate and contracted vertices) are all expanded.  The walk only ever visits [n]-subsets,
-   so [max_subsets] bounds it as it bounded the scan. *)
+   near-ties (degenerate and contracted vertices) are all expanded.  The
+   walk only ever visits [n]-subsets, so [max_subsets] bounds it as it
+   bounded the scan. *)
 
 let m_bases = Obs.counter ~help:"bases the vertex walk visited" "vertex_enum.bases"
 
@@ -422,12 +423,13 @@ let m_eps_rejects =
 (* The walk's tolerance, in normalized (unit-normal) units: [slack]
    acceptance slacks [eps / |normal|] per row, plus [rel] times
    [1 + sum |h_i x_i|] for the rounding of the row's terms.  Which
-   neighbours to visit uses the looser [rel (1 + |x|_inf)] in place of
-   the second term: a visit is one raw solve, and the raw solve of an
-   ill-conditioned basis can land inside the polytope although its
-   exact vertex does not. *)
+   neighbours to visit uses a looser band, [reach] times the larger of
+   that and [rel (1 + |x|_inf)] plus the slacks: a visit is one raw
+   solve, and the raw solve of an ill-conditioned basis can land inside
+   the polytope although its exact vertex does not. *)
 let slack = 4.
 let rel = 1e-10
+let reach = 10.
 let grazing = 1e-6
 
 (* Lexicographic order of equal-length ascending subsets: the scan's
@@ -574,9 +576,13 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
         let visit basis =
           Obs.add m_bases 1;
           (* Acceptance is the scan's: the raw solve, then the raw test. *)
-          let raw = raw_solve basis in
-          let ok = match raw with Some x -> satisfies_all x | None -> false in
-          if ok then accepted := (basis, Option.get raw) :: !accepted;
+          let ok =
+            match raw_solve basis with
+            | Some x when satisfies_all x ->
+                accepted := (basis, x) :: !accepted;
+                true
+            | _ -> false
+          in
           (* The walk moves on from the normalized vertex: where a tiny
              coefficient of a huge raw row is the elimination's pivot, the
              raw solution can sit 1e-4 off its own hyperplanes. *)
@@ -592,7 +598,9 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ~box hs =
                    inverse, negated. *)
                 let rates = Mat.mul dirs inv in
                 let wide = rel *. (1. +. Vec.norm_inf x) in
-                let band = Array.map2 (fun b t -> Float.max b (t +. wide)) band tol in
+                let band =
+                  Array.map2 (fun b t -> reach *. Float.max b (t +. wide)) band tol
+                in
                 for p = 0 to n - 1 do
                   expand basis res band p (fun r ->
                       if live r && not in_basis.(r) then -.Mat.get rates r p else 0.)
