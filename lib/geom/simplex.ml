@@ -244,7 +244,7 @@ let feasible_basis ~rel rows start =
         let parallel = 1e-12 *. Vec.norm_inf d in
         let entering = ref [] in
         if !slope < -1e-13 *. !slop then
-          for r = count - 1 downto 0 do
+          for r = 0 to count - 1 do
             let a = rate.(r) in
             if (not in_basis.(r)) && Float.abs a > parallel then begin
               let t =
@@ -264,7 +264,7 @@ let feasible_basis ~rel rows start =
           Array.sort Int.compare nb;
           invert nb
         in
-        match List.find_map exchange (List.stable_sort first_met !entering) with
+        match List.find_map exchange (List.sort first_met !entering) with
         | None -> leave (p + 1)
         | next -> next
       end

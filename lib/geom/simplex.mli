@@ -48,6 +48,7 @@ val feasible_basis : rel:float -> (Vec.t * float) array -> int array -> phase_on
     basis (ascending), e.g. [n] box facets.  Phase one on the inequality
     form: each pivot lowers the total violation, refactorizes the basis
     from scratch (no tableau, so rows that differ by 1e-10 stay
-    distinguishable), and follows Bland's rule.  [Stalled] after
-    [100 (rows + 1) (n + 1)] pivots, which exact arithmetic rules out.
-    Rows should be normalized. *)
+    distinguishable), and follows Bland's rule, passing over an entering
+    row whose basis {!Mat.inverse} finds singular.  [Stalled] after
+    [100 (rows + 1) (n + 1)] pivots, which exact arithmetic rules out,
+    or when [start] is singular.  Rows should be normalized. *)

@@ -188,18 +188,19 @@ let same_bits a b =
               x y)
        a b
 
-(* The walk and the reference scan on one region: the same vertex list
-   (length, order, bits), or both over budget. *)
-let walk_matches_scan ?pool region =
-  let walk = try Some (Region.vertices region) with Vertex_enum.Too_large -> None in
-  let scan =
-    try Some (Qsens_oracle.vertices ?pool (Region.halfspaces region))
-    with Vertex_enum.Too_large -> None
-  in
-  match (walk, scan) with
+(* The walk and the reference scan: the same vertex list (length,
+   order, bits), or both over budget. *)
+let agree walk scan =
+  let attempt f = try Some (f ()) with Vertex_enum.Too_large -> None in
+  match (attempt walk, attempt scan) with
   | None, None -> true
   | Some a, Some b -> same_bits a b
   | _ -> false
+
+let walk_matches_scan ?pool region =
+  agree
+    (fun () -> Region.vertices region)
+    (fun () -> Qsens_oracle.vertices ?pool (Region.halfspaces region))
 
 (* Every region phase 3 of discovery can enumerate for [name]: a round
    works on the known plans sorted by signature, and the known set is
@@ -253,6 +254,44 @@ let test_walk_figure6_regions () =
   Qsens_parallel.Pool.with_pool ~domains:2 (fun pool ->
       check_discovery_regions ~pool Qsens_catalog.Layout.Per_table_and_index_devices
         [ "Q12"; "Q16" ] ~seed:42)
+
+(* Regions on which earlier builds of the walk disagreed with the scan
+   (fixtures/walk_regions.txt, exact bits). *)
+let recorded_regions () =
+  let floats words = Array.of_list (List.map float_of_string words) in
+  let lines =
+    In_channel.with_open_text "fixtures/walk_regions.txt" In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.map (String.split_on_char ' ')
+  in
+  let rec regions acc = function
+    | [ "region"; _ ] :: ("lo" :: lo) :: ("hi" :: hi) :: rest ->
+        let rec rows hs = function
+          | ("h" :: h) :: rest ->
+              let v = floats h in
+              let n = Array.length v - 1 in
+              rows (Halfspace.make (Array.sub v 0 n) v.(n) :: hs) rest
+          | rest -> (List.rev hs, rest)
+        in
+        let hs, rest = rows [] rest in
+        regions ((Box.make (floats lo) (floats hi), hs) :: acc) rest
+    | [] -> List.rev acc
+    | _ -> Alcotest.fail "fixtures/walk_regions.txt: malformed"
+  in
+  regions [] lines
+
+let test_walk_recorded_regions () =
+  let regions = recorded_regions () in
+  Alcotest.(check bool) "regions read" true (List.length regions > 40);
+  List.iteri
+    (fun i (box, hs) ->
+      if
+        not
+          (agree
+             (fun () -> Vertex_enum.vertices ~box hs)
+             (fun () -> Qsens_oracle.vertices (hs @ Box.to_halfspaces box)))
+      then Alcotest.failf "recorded region %d differs from the subset scan" i)
+    regions
 
 (* Random regions at dimensions 2-6, with the degenerate shapes the
    walk must get right: duplicate plans (a zero switchover normal, and
@@ -465,6 +504,8 @@ let () =
             test_walk_figure5_regions;
           Alcotest.test_case "figure 6 Q12, Q16 regions == scan" `Quick
             test_walk_figure6_regions;
+          Alcotest.test_case "recorded regions == scan" `Quick
+            test_walk_recorded_regions;
         ] );
       ( "fractional",
         [
