@@ -226,15 +226,16 @@ let feasible_basis ~rel rows start =
         let d = Vec.init n (fun i -> -.Mat.get inv i p) in
         let rate = Array.map (fun (a, _) -> Vec.dot a d) rows in
         (* The slope of the total violation along the edge, and the
-           rounding it carries: a slope inside that is no descent. *)
+           rounding it carries — the edge itself is only known to
+           rounding in every coordinate, so each violated row's rate is
+           uncertain by its coefficients' magnitude times [|d|_inf]: a
+           slope inside that is no descent. *)
         let slope = ref 0. and slop = ref 0. in
         Array.iteri
           (fun r a ->
             if violated r then begin
               slope := !slope +. a;
-              Array.iteri
-                (fun i c -> slop := !slop +. Float.abs (c *. d.(i)))
-                (fst rows.(r))
+              Array.iter (fun c -> slop := !slop +. Float.abs c) (fst rows.(r))
             end)
           rate;
         (* Breakpoints: a satisfied row becoming violated, or a violated
@@ -243,7 +244,7 @@ let feasible_basis ~rel rows start =
            would be singular. *)
         let parallel = 1e-12 *. Vec.norm_inf d in
         let entering = ref [] in
-        if !slope < -1e-13 *. !slop then
+        if !slope < -1e-13 *. !slop *. Vec.norm_inf d then
           for r = 0 to count - 1 do
             let a = rate.(r) in
             if (not in_basis.(r)) && Float.abs a > parallel then begin
