@@ -195,14 +195,18 @@ let feasible_in_box box hs =
    total violation; each step leaves the lowest-index basis row whose
    edge reduces it and enters the first row the edge meets, lowest index
    on ties (Bland's rule, which rules out cycling).  An entering row
-   whose exchange {!Mat.inverse} finds singular is passed over for the
-   next row the edge meets. *)
+   whose exchange {!Mat.inverse} finds singular, or that returns to a
+   basis already left, is passed over for the next row the edge meets. *)
 type phase_one = Vertex of int array | Empty | Stalled
 
 let feasible_basis ~rel rows start =
   let count = Array.length rows and n = Array.length start in
   let limit = 100 * (count + 1) * (n + 1) in
   let in_basis = Array.make count false in
+  (* The total violation never rises along the path in exact arithmetic,
+     so a pivot back to a basis already left can only come from a slope
+     at rounding level: refusing it rules out cycling. *)
+  let seen : (int array, unit) Hashtbl.t = Hashtbl.create 64 in
   let invert basis =
     match Mat.inverse (Mat.init n n (fun i j -> (fst rows.(basis.(i))).(j))) with
     | exception Mat.Singular -> None
@@ -226,16 +230,15 @@ let feasible_basis ~rel rows start =
         let d = Vec.init n (fun i -> -.Mat.get inv i p) in
         let rate = Array.map (fun (a, _) -> Vec.dot a d) rows in
         (* The slope of the total violation along the edge, and the
-           rounding it carries — the edge itself is only known to
-           rounding in every coordinate, so each violated row's rate is
-           uncertain by its coefficients' magnitude times [|d|_inf]: a
-           slope inside that is no descent. *)
+           rounding it carries: a slope inside that is no descent. *)
         let slope = ref 0. and slop = ref 0. in
         Array.iteri
           (fun r a ->
             if violated r then begin
               slope := !slope +. a;
-              Array.iter (fun c -> slop := !slop +. Float.abs c) (fst rows.(r))
+              Array.iteri
+                (fun i c -> slop := !slop +. Float.abs (c *. d.(i)))
+                (fst rows.(r))
             end)
           rate;
         (* Breakpoints: a satisfied row becoming violated, or a violated
@@ -244,7 +247,7 @@ let feasible_basis ~rel rows start =
            would be singular. *)
         let parallel = 1e-12 *. Vec.norm_inf d in
         let entering = ref [] in
-        if !slope < -1e-13 *. !slop *. Vec.norm_inf d then
+        if !slope < -1e-13 *. !slop then
           for r = 0 to count - 1 do
             let a = rate.(r) in
             if (not in_basis.(r)) && Float.abs a > parallel then begin
@@ -263,7 +266,7 @@ let feasible_basis ~rel rows start =
           let nb = Array.copy basis in
           nb.(p) <- r;
           Array.sort Int.compare nb;
-          invert nb
+          if Hashtbl.mem seen nb then None else invert nb
         in
         match List.find_map exchange (List.sort first_met !entering) with
         | None -> leave (p + 1)
@@ -276,6 +279,7 @@ let feasible_basis ~rel rows start =
   let rec step (basis, inv) iter =
     if iter > limit then Stalled
     else begin
+      Hashtbl.replace seen basis ();
       let x = Mat.mul_vec inv (Vec.init n (fun i -> snd rows.(basis.(i)))) in
       Array.iter (fun r -> in_basis.(r) <- true) basis;
       let next = pivot basis inv x in
