@@ -43,12 +43,11 @@ val feasible_basis : rel:float -> (Vec.t * float) array -> int array -> phase_on
 (** [feasible_basis ~rel rows start] finds a vertex of [{ x | a . x <= b
     for every (a, b) in rows }]: [n] row indices, tight at a point [x]
     that satisfies every row within [rel * (1 + sum |a_i x_i|)]
-    (rounding).
-    [start] is any nonsingular
-    basis (ascending), e.g. [n] box facets.  Phase one on the inequality
-    form: each pivot lowers the total violation, refactorizes the basis
-    from scratch (no tableau, so rows that differ by 1e-10 stay
-    distinguishable), and follows Bland's rule, passing over an entering
-    row whose basis {!Mat.inverse} finds singular.  [Stalled] after
+    (rounding).  [start] is any nonsingular basis (ascending), e.g. [n]
+    box facets.  Phase one on the inequality form: each pivot lowers the
+    total violation, refactorizes the basis from scratch (no tableau, so
+    rows that differ by 1e-10 stay distinguishable), and follows Bland's
+    rule, passing over an entering row whose basis {!Mat.inverse} finds
+    singular or was already left.  [Stalled] after
     [100 (rows + 1) (n + 1)] pivots, which exact arithmetic rules out,
     or when [start] is singular.  Rows should be normalized. *)
