@@ -247,7 +247,7 @@ let feasible_basis ~rel rows start =
            would be singular. *)
         let parallel = 1e-12 *. Vec.norm_inf d in
         let entering = ref [] in
-        if !slope < -1e-13 *. !slop then
+        if !slope < -1e-15 *. !slop then
           for r = 0 to count - 1 do
             let a = rate.(r) in
             if (not in_basis.(r)) && Float.abs a > parallel then begin
