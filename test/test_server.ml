@@ -540,10 +540,65 @@ let ladder_lines () =
 
 let ladder_digest = "4e1e2815224921f4416b36bd3c27ccaf"
 
+(* The results, apart from the bookkeeping: the ids of the ladder
+   requests answered on an exact tier when the regret column was still
+   computed one candidate at a time, and digests of their
+   [points]/[choices] fields and of every whole worst_case line.  These
+   pin what must never move when only the charges, the cache layout or
+   the tier that answers a select change — a select that newly fits an
+   exact tier may join the exact set, but none may leave it. *)
+let ladder_exact_ids =
+  [ 0; 1; 2; 3; 4; 5; 6; 8; 9; 10; 11; 12; 13; 14; 16; 17; 18; 19; 20; 24;
+    25; 26; 32; 33; 34; 40 ]
+
+let ladder_exact_digest = "cd913c8a02f60cb6aa894c9fbcadeb9f"
+let ladder_worst_case_digest = "71bbff1e1e98abd0bdea160d4a595d43"
+
+let ladder_responses =
+  lazy
+    (let t = Server.create ~config:small_config () in
+     let responses = List.map (Server.handle_line t) (ladder_lines ()) in
+     (responses, Server.handle_line t "{\"op\":\"stats\"}"))
+
+let digest_lines lines =
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let test_ladder_exact_golden () =
+  let responses, _ = Lazy.force ladder_responses in
+  let indexed = List.mapi (fun i r -> (i, r)) responses in
+  let exact =
+    List.filter_map
+      (fun (i, r) ->
+        if String.equal (str_field r "path") "monte-carlo estimate" then None
+        else Some i)
+      indexed
+  in
+  let result (_, r) =
+    let key =
+      if String.equal (str_field r "op") "select" then "choices" else "points"
+    in
+    match response_field r key with
+    | Some v -> Json.to_string v
+    | None -> Alcotest.fail ("no " ^ key ^ " in " ^ r)
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d still answered exactly" i)
+        true (List.mem i exact))
+    ladder_exact_ids;
+  Alcotest.(check string) "exact-tier results" ladder_exact_digest
+    (digest_lines
+       (List.map result
+          (List.filter (fun (i, _) -> List.mem i ladder_exact_ids) indexed)));
+  Alcotest.(check string) "worst_case responses" ladder_worst_case_digest
+    (digest_lines
+       (List.filter
+          (fun r -> String.equal (str_field r "op") "worst_case")
+          responses))
+
 let test_ladder_golden () =
-  let t = Server.create ~config:small_config () in
-  let responses = List.map (Server.handle_line t) (ladder_lines ()) in
-  let stats = Server.handle_line t "{\"op\":\"stats\"}" in
+  let responses, stats = Lazy.force ladder_responses in
   let tiers =
     List.sort_uniq compare
       (List.map
@@ -561,7 +616,7 @@ let test_ladder_golden () =
         [ "exhaustive sweep"; "branch-and-bound"; "monte-carlo estimate" ])
     [ "worst_case"; "select" ];
   Alcotest.(check string) "response digest" ladder_digest
-    (Digest.to_hex (Digest.string (String.concat "\n" (responses @ [ stats ]))))
+    (digest_lines (responses @ [ stats ]))
 
 (* ------------------------------------------------------------------ *)
 (* Response invariance under cache state (the satellite qcheck).
@@ -781,6 +836,8 @@ let () =
           Alcotest.test_case "batch shedding" `Quick test_batch_shedding;
           Alcotest.test_case "circuit breaker" `Quick test_circuit_breaker;
           Alcotest.test_case "ladder golden" `Quick test_ladder_golden;
+          Alcotest.test_case "ladder exact-tier results" `Quick
+            test_ladder_exact_golden;
           Alcotest.test_case "budget validation" `Quick test_budget_validation;
           Alcotest.test_case "sf validation" `Quick test_sf_validation;
           Alcotest.test_case "huge sf" `Quick test_huge_sf;
