@@ -86,28 +86,48 @@ let point_of_regrets ~kernel ~center ~classic ~delta ~regret ~fallbacks =
 (* ------------------------------------------------------------------ *)
 (* Per-candidate worst-case regret over the box: candidate [i]'s regret
    is the worst-case GTC with [initial := plans.(i)] against the whole
-   set, through Worst_case's tier dispatch (one engine build for the
-   set, a rebind per further candidate) — so every regret column
-   reproduces Worst_case.curve for that candidate bit-for-bit. *)
+   set.  Up to the exhaustive gate every column comes from one joint
+   scan per delta over one shared table (Sweep.regrets); beyond it,
+   through Worst_case's branch-and-bound and fractional tiers (one
+   engine build for the set, a rebind per further candidate).  Either
+   way every regret column reproduces Worst_case.curve for that
+   candidate bit-for-bit. *)
+
+let regret_columns ~deltas ?pool ?node_budget ~plans ~center () =
+  let dim = Vec.dim center in
+  if Sweep.supported ~dim then begin
+    let sweep = Sweep.build ?pool ~plans ~initial:plans.(0) ~center () in
+    ( List.map (fun delta -> (Sweep.regrets sweep ~delta, 0)) deltas,
+      Worst_case.path_name ~dim )
+  end
+  else begin
+    let curves, fallbacks, path =
+      Worst_case.curves_with_path ~deltas ?pool ?node_budget ~plans
+        ~initials:plans ()
+    in
+    ( List.mapi
+        (fun di _ ->
+          (Array.map (fun c -> c.(di).Worst_case.gtc) curves, fallbacks.(di)))
+        deltas,
+      path )
+  end
 
 let curve ?(deltas = Worst_case.default_deltas) ?pool ?node_budget ~plans () =
   validate ~who:"Select.curve" plans;
   let center = ones_center ~plans in
   let kernel = Kernel.pack plans in
   let classic = Framework.optimal_index ~plans ~costs:center in
-  let curves, fallbacks, path =
-    Worst_case.curves_with_path ~deltas ?pool ?node_budget ~plans
-      ~initials:plans ()
+  let columns, path =
+    regret_columns ~deltas ?pool ?node_budget ~plans ~center ()
   in
-  Obs.add m_budget_fallbacks (Array.fold_left ( + ) 0 fallbacks);
+  Obs.add m_budget_fallbacks
+    (List.fold_left (fun acc (_, f) -> acc + f) 0 columns);
   let points =
-    List.mapi
-      (fun di delta ->
+    List.map2
+      (fun delta (regret, fallbacks) ->
         Obs.add m_selections 1;
-        let regret = Array.map (fun c -> c.(di).Worst_case.gtc) curves in
-        point_of_regrets ~kernel ~center ~classic ~delta ~regret
-          ~fallbacks:fallbacks.(di))
-      deltas
+        point_of_regrets ~kernel ~center ~classic ~delta ~regret ~fallbacks)
+      deltas columns
   in
   (points, path)
 

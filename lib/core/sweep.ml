@@ -18,6 +18,11 @@ let m_plans_pruned =
 let m_evals =
   Obs.counter ~help:"separable per-delta sweep evaluations" "sweep.evals"
 
+let m_regret_scans =
+  Obs.counter
+    ~help:"joint minimax-regret scans (one per delta, every candidate at once)"
+    "sweep.regret_scans"
+
 let m_bnb_evals =
   Obs.counter ~help:"branch-and-bound worst-case evaluations" "bnb.evals"
 
@@ -90,7 +95,10 @@ type t = {
   nv : int;
   mask : int;
   kept : int array;
-  sums : floatarray;  (* nkept x 2^dim, flat and unboxed *)
+  sums : floatarray;
+      (* plans x 2^dim, flat and unboxed: every plan's table, pruned ones
+         too, since [regrets] needs each plan's own row as a numerator;
+         the argmax scans only the [kept] rows *)
   num_sums : floatarray;
   degenerate : bool array;
   initial_zero : bool;
@@ -161,18 +169,17 @@ let build ?pool ?(prune = true) ~plans ~initial ~center () =
   let initial_zero = Float.equal (ascending_sum num_weights) 0. in
   let kept = dominance_kept ~prune ~plans ~totals in
   Obs.add m_plans_pruned (np - Array.length kept);
-  let nkept = Array.length kept in
-  let sums = FA.make (nkept * nv) 0. in
+  let sums = FA.make (np * nv) 0. in
   let fill lo hi =
-    for kp = lo to hi - 1 do
-      (* qsens-check: disable=C001 — each chunk writes the disjoint [kp*nv, (kp+1)*nv) block of [sums] *)
-      subset_sums weights.(kept.(kp)) m sums (kp * nv)
+    for p = lo to hi - 1 do
+      (* qsens-check: disable=C001 — each chunk writes the disjoint [p*nv, (p+1)*nv) block of [sums] *)
+      subset_sums weights.(p) m sums (p * nv)
     done
   in
   (match pool with
-  | Some p when Pool.domains p > 1 && nkept > 1 ->
-      Pool.parallel_for_chunked p ~n:nkept fill
-  | _ -> fill 0 nkept);
+  | Some p when Pool.domains p > 1 && np > 1 ->
+      Pool.parallel_for_chunked p ~n:np fill
+  | _ -> fill 0 np);
   let num_sums = FA.make nv 0. in
   subset_sums num_weights m num_sums 0;
   {
@@ -192,9 +199,9 @@ let build ?pool ?(prune = true) ~plans ~initial ~center () =
    degenerate flags (all functions of [plans] and [center] alone) — and
    recomputes only the numerator side.  The result is bit-identical to a
    fresh [build] with the same [initial]: the shared tables were computed
-   by exactly the code a rebuild would run.  Minimax-regret selection
-   leans on this to evaluate N candidates from one O(plans * 2^dim)
-   build instead of N of them. *)
+   by exactly the code a rebuild would run.  The server's worst_case op
+   leans on this to answer every initial from the one table it keeps
+   per plan set. *)
 let rebind t ~initial =
   if Vec.dim initial <> t.dim then
     invalid_arg "Sweep.rebind: dimension mismatch";
@@ -229,7 +236,7 @@ let eval ?budget t ~delta =
          touch the float pipeline, so a surviving eval is bit-identical
          to an unbudgeted one. *)
       Budget.spend_opt budget ~who:"Sweep.eval" (pattern_hi + 1);
-      let off = kp * nv in
+      let off = p * nv in
       for k = 0 to pattern_hi do
         let den =
           vertex_value ~delta ~inv
@@ -253,6 +260,101 @@ let eval ?budget t ~delta =
   Obs.add m_degenerate_ratios !degen;
   if !best_pat >= 0 then (!best, !best_pat)
   else ((if !degen > 0 then nan else !best), -1)
+
+(* ------------------------------------------------------------------ *)
+(* Minimax regret in one scan.  Candidate [i]'s regret is [eval] with
+   [initial := plans.(i)]: the max over (kept plan q, pattern k) of
+   [fl (num_i(k) / den_q(k))].  Its numerator table is row [i] of [sums]
+   (the same [plans.(i) * center] subset sums a rebind computes), and for
+   a fixed k and [num >= 0], correctly rounded division is monotone
+   nonincreasing in the denominator, so the max over q of the ratios is
+   the one ratio against [den(k) = min_q den_q(k)] (DESIGN.md section 15).
+   The scan therefore takes that min once per pattern and divides every
+   numerator by it: O((kept + plans) * 2^dim) per delta instead of
+   O(plans * kept * 2^dim).
+
+   Where a ratio can be NaN the two sides must still agree on which
+   ratios exist.  With no degenerate plan, [eval]'s skipped (NaN) ratios
+   are [0/0], [inf/inf] and anything over a NaN denominator.  [den(k)]
+   starts from the first kept plan and skips NaN rivals, as the argmax
+   skips their ratios; [den(k) = +inf] makes [num/den] NaN exactly when
+   every rival ratio is.  What the min cannot reproduce is a zero
+   numerator over a zero minimum with a positive rival (a 0 against
+   NaN), or a NaN first row: [not (den > 0.)] detects both — a
+   denominator that underflowed to zero or a NaN weight — and, like a
+   degenerate (all-zero) plan, sends the set to [eval] one candidate at
+   a time, so the NaN/skip contract holds unchanged. *)
+
+let row_initial t i =
+  let num_sums = FA.sub t.sums (i * t.nv) t.nv in
+  { t with num_sums; initial_zero = t.degenerate.(i) }
+
+let regrets_per_candidate ?budget t ~delta =
+  Array.init (Array.length t.degenerate) (fun i ->
+      fst (eval ?budget (row_initial t i) ~delta))
+
+(* A loop, not [Array.exists]: the stdlib's allocates a closure, and the
+   joint scan allocates nothing beyond its result. *)
+let has_degenerate t =
+  let found = ref false in
+  for p = 0 to Array.length t.degenerate - 1 do
+    if Array.unsafe_get t.degenerate p then found := true
+  done;
+  !found
+
+let regrets ?budget t ~delta =
+  if delta < 1. then invalid_arg "Sweep.regrets: delta must be >= 1";
+  if has_degenerate t then
+    regrets_per_candidate ?budget t ~delta
+  else begin
+    let np = Array.length t.degenerate and kept = t.kept in
+    let nkept = Array.length kept in
+    let nv = t.nv and mask = t.mask and sums = t.sums in
+    (* Same collapsed-box shortcut as [eval]: pattern 0 only. *)
+    let pattern_hi = if Float.equal delta 1. then 0 else nv - 1 in
+    (* One unit per vertex value the scan computes: a denominator per
+       kept plan and a numerator per candidate, per pattern. *)
+    Budget.spend_opt budget ~who:"Sweep.regrets"
+      ((pattern_hi + 1) * (nkept + np));
+    Obs.add m_regret_scans 1;
+    Obs.enter "sweep.regrets";
+    let inv = 1. /. delta in
+    let res = Array.make np neg_infinity in
+    let joint = ref true and k = ref 0 in
+    (* qsens-hot: begin *)
+    while !joint && !k <= pattern_hi do
+      let kc = mask lxor !k in
+      let off0 = Array.unsafe_get kept 0 * nv in
+      let den =
+        ref
+          ((delta *. FA.unsafe_get sums (off0 + !k))
+          +. (FA.unsafe_get sums (off0 + kc) *. inv))
+      in
+      for kp = 1 to nkept - 1 do
+        let off = Array.unsafe_get kept kp * nv in
+        let d =
+          (delta *. FA.unsafe_get sums (off + !k))
+          +. (FA.unsafe_get sums (off + kc) *. inv)
+        in
+        if d < !den then den := d
+      done;
+      if not (!den > 0.) then joint := false
+      else
+        for i = 0 to np - 1 do
+          let off = i * nv in
+          let num =
+            (delta *. FA.unsafe_get sums (off + !k))
+            +. (FA.unsafe_get sums (off + kc) *. inv)
+          in
+          let r = num /. !den in
+          if r > Array.unsafe_get res i then Array.unsafe_set res i r
+        done;
+      incr k
+    done;
+    (* qsens-hot: end *)
+    Obs.leave "sweep.regrets";
+    if !joint then res else regrets_per_candidate ?budget t ~delta
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Incremental grid evaluation.  Two observations over [eval]:
@@ -332,7 +434,7 @@ let eval_grid ?scratch t ~deltas ~gtc ~patterns =
       let p = Array.unsafe_get kept kp in
       if Array.unsafe_get degenerate p && initial_zero then incr degen
       else begin
-        let off = kp * nv in
+        let off = p * nv in
         for k = 0 to pattern_hi do
           let den =
             (delta *. FA.unsafe_get sums (off + k))
@@ -364,24 +466,20 @@ let check_pattern t pattern =
     invalid_arg
       (Printf.sprintf "Sweep: pattern %d outside 0..%d" pattern (t.nv - 1))
 
-let kept_slot t plan =
+let kept_plan t plan =
   if plan < 0 || plan >= Array.length t.degenerate then
     invalid_arg (Printf.sprintf "Sweep: plan %d out of range" plan);
-  let rec go kp =
-    if kp >= Array.length t.kept then
-      invalid_arg (Printf.sprintf "Sweep: plan %d was pruned" plan)
-    else if t.kept.(kp) = plan then kp
-    else go (kp + 1)
-  in
-  go 0
+  if not (Array.mem plan t.kept) then
+    invalid_arg (Printf.sprintf "Sweep: plan %d was pruned" plan);
+  plan
 
 let plan_a t ~plan ~pattern =
   check_pattern t pattern;
-  FA.get t.sums ((kept_slot t plan * t.nv) + pattern)
+  FA.get t.sums ((kept_plan t plan * t.nv) + pattern)
 
 let plan_b t ~plan ~pattern =
   check_pattern t pattern;
-  FA.get t.sums ((kept_slot t plan * t.nv) + (t.mask lxor pattern))
+  FA.get t.sums ((kept_plan t plan * t.nv) + (t.mask lxor pattern))
 
 let initial_a t ~pattern =
   check_pattern t pattern;

@@ -101,6 +101,32 @@ val eval : ?budget:Qsens_budget.Budget.t -> t -> delta:float -> float * int
     the float pipeline: a surviving eval is bit-identical to an
     unbudgeted one. *)
 
+val regrets : ?budget:Qsens_budget.Budget.t -> t -> delta:float -> float array
+(** [regrets t ~delta] is every plan's minimax regret against the whole
+    set at [delta]: element [i] is bit-identical to
+    [fst (eval (rebind t ~initial:plans.(i)) ~delta)], whatever
+    [initial] [t] was built with.  By Observation 2 the maximum sits at
+    a box vertex, so the denominator [min_q U_q . C] at a vertex is the
+    same for every candidate: per sign pattern the scan takes that
+    minimum over the kept plans once, then gives each plan the max over
+    patterns of its own vertex value divided by it — one pass of
+    [(kept + plans) * 2^dim] vertex values instead of one [eval] per
+    candidate.  Correctly rounded division is monotone in the
+    denominator for a nonnegative numerator, so dividing by the
+    smallest denominator yields exactly the largest of the per-plan
+    ratios, and pruned plans never set the minimum (DESIGN.md section
+    15).  A set with a degenerate (all-zero) plan, or a vertex whose
+    smallest denominator is zero or NaN, is scored one candidate at a
+    time through [eval] instead, so the NaN/skip contract is
+    unchanged.
+
+    With [?budget] the scan charges one unit per vertex value it
+    computes, [(kept + plans)] per pattern, before it starts (the
+    per-candidate fallback charges as [eval] does); exhaustion raises
+    {!Qsens_budget.Budget.Exhausted}.  The joint scan allocates nothing
+    beyond the result array.  Raises [Invalid_argument] if
+    [delta < 1]. *)
+
 val vertex_value : delta:float -> inv:float -> float -> float -> float
 (** [vertex_value ~delta ~inv a b] is [(delta *. a) +. (b *. inv)] — the
     vertex cost [delta*A + B/delta] with [inv = 1/delta], in exactly two

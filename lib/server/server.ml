@@ -67,7 +67,9 @@ let marshal_size v = String.length (Marshal.to_string v [ Marshal.No_sharing ])
 (* Snapshot: crash-safe persistence of the marshalable caches.  Setups
    hold Env closures and are rebuilt on demand instead. *)
 
-let snapshot_magic = "qsens-server-snapshot-v1"
+(* v2: a sweep table holds every plan's subset sums, not just the kept
+   plans', so a v1 table must never be read as one. *)
+let snapshot_magic = "qsens-server-snapshot-v2"
 
 type snapshot_data =
   string
@@ -355,12 +357,15 @@ let candidates_for t (tg : target) s ~delta_max =
             (Printf.sprintf "\"sf\" %g is out of range for %s: %s" tg.sf
                tg.query_name m))
 
-let sweep_for t ~plans ~initial ~center =
-  let key = digest_key ("sweep", plans, initial, center) in
+(* One table per plan set: it serves select's joint regret scan as it
+   is and every worst_case initial through a rebind, so it is built for
+   the first plan. *)
+let sweep_for t ~plans ~center =
+  let key = digest_key ("sweep", plans, center) in
   match Lru.find t.sweep_cache key with
   | Some sw -> sw
   | None ->
-      let sw = Sweep.build ?pool:t.pool ~plans ~initial ~center () in
+      let sw = Sweep.build ?pool:t.pool ~plans ~initial:plans.(0) ~center () in
       Lru.put t.sweep_cache key sw;
       sw
 
@@ -428,16 +433,19 @@ let select_points_json points = Json.List (List.map select_point_json points)
 (* ------------------------------------------------------------------ *)
 (* The degradation ladder.
 
-   Both analysis ops walk the same tiers over an array of initial plans:
-   worst_case passes the classic plan alone, select passes every
-   candidate (candidate [i]'s worst-case GTC is its regret).  Each exact
-   tier runs under a fresh budget of the request's allowance, charges
-   per initial, builds (or fetches) every table before evaluating any,
-   and answers one curve point per (delta, initial); a budget trip
-   abandons the whole tier, so a response is never half one tier, half
-   another.  Only rendering an answer and the Monte-Carlo floor, which
-   divides the allowance across deltas and can always answer, are per
-   op. *)
+   Both analysis ops walk the same tiers: worst_case for the classic
+   plan alone, select for every candidate (candidate [i]'s worst-case
+   GTC is its regret).  Each exact tier runs under a fresh budget of the
+   request's allowance, charges every table build up front, hit or miss
+   alike, builds (or fetches) its tables before evaluating any, and
+   answers one column per delta; a budget trip abandons the whole tier,
+   so a response is never half one tier, half another.  The
+   branch-and-bound and fractional tiers work per initial plan and are
+   shared; the exhaustive tier is per op, over one table per plan set:
+   worst_case evaluates a rebind of it, select scans every candidate's
+   regret jointly ({!Sweep.regrets}).  Rendering an answer and the
+   Monte-Carlo floor, which divides the allowance across deltas and can
+   always answer, are per op too. *)
 
 type evaluated = {
   points : Json.t;
@@ -451,24 +459,21 @@ type evaluated = {
 let by_delta ~deltas columns =
   List.mapi (fun di _ -> Array.map (fun col -> col.(di)) columns) deltas
 
-let tier_exhaustive t ~plans ~initials ~center ~deltas b =
-  let np = Array.length plans and dim = Vec.dim center in
-  let sweeps =
-    Array.map
-      (fun initial ->
-        (* Table build charged up front, hit or miss alike. *)
-        Budget.spend b ~who:"server.sweep.build" (np * (1 lsl dim));
-        sweep_for t ~plans ~initial ~center)
-      initials
-  in
+let shared_sweep t ~plans ~center b =
+  Budget.spend b ~who:"server.sweep.build"
+    (Array.length plans * (1 lsl Vec.dim center));
+  sweep_for t ~plans ~center
+
+let worst_case_exhaustive t ~plans ~initial ~center ~deltas b =
+  let sw = Sweep.rebind (shared_sweep t ~plans ~center b) ~initial in
   List.map
     (fun delta ->
-      Array.map
-        (fun sw ->
-          Worst_case.point_of_eval ~center ~delta
-            (Sweep.eval ~budget:b sw ~delta))
-        sweeps)
+      Worst_case.point_of_eval ~center ~delta (Sweep.eval ~budget:b sw ~delta))
     deltas
+
+let select_exhaustive t ~plans ~center ~deltas b =
+  let sw = shared_sweep t ~plans ~center b in
+  List.map (fun delta -> Sweep.regrets ~budget:b sw ~delta) deltas
 
 let tier_bnb t ~plans ~initials ~center ~deltas b =
   let np = Array.length plans and dim = Vec.dim center in
@@ -505,10 +510,12 @@ let tier_fractional t ~plans ~initials ~deltas b =
     initials
   |> by_delta ~deltas
 
-(* [render ~delta points] encodes one exact answer; [estimate b ~delta]
+(* [exhaustive b] is the op's exhaustive tier; [column] turns the shared
+   tiers' points for [initials] at one delta into the op's column;
+   [render ~delta column] encodes one exact answer; [estimate b ~delta]
    is the op's Monte-Carlo floor under budget [b], annotated with
    [caveat]. *)
-let ladder t a ~initials ~render ~estimate ~caveat =
+let ladder t a ~initials ~exhaustive ~column ~render ~estimate ~caveat =
   let { allowance; plans; deltas; dim; _ } = a in
   let center = Vec.make dim 1. in
   let exact (path, supported, run) =
@@ -531,17 +538,16 @@ let ladder t a ~initials ~render ~estimate ~caveat =
             }
       | exception Budget.Exhausted _ -> None
   in
+  let shared tier b = List.map column (tier b) in
   let tiers =
     [
-      ( "exhaustive sweep",
-        Sweep.supported ~dim,
-        tier_exhaustive t ~plans ~initials ~center ~deltas );
+      ("exhaustive sweep", Sweep.supported ~dim, exhaustive ~center);
       ( "branch-and-bound",
         Sweep.Bnb.supported ~dim,
-        tier_bnb t ~plans ~initials ~center ~deltas );
+        shared (tier_bnb t ~plans ~initials ~center ~deltas) );
       ( "linear-fractional fallback",
         true,
-        tier_fractional t ~plans ~initials ~deltas );
+        shared (tier_fractional t ~plans ~initials ~deltas) );
     ]
   in
   let r =
@@ -623,9 +629,12 @@ let op_worst_case t req =
   let* a = get_analysis t req in
   let initial = a.cands.Candidates.initial.Candidates.eff in
   ladder t a ~initials:[| initial |]
-    ~render:(fun ~delta col ->
-      ignore (theorem1 ~delta col.(0).Worst_case.gtc);
-      point_json col.(0))
+    ~exhaustive:
+      (worst_case_exhaustive t ~plans:a.plans ~initial ~deltas:a.deltas)
+    ~column:(fun col -> col.(0))
+    ~render:(fun ~delta (p : Worst_case.point) ->
+      ignore (theorem1 ~delta p.gtc);
+      point_json p)
     ~estimate:(fun b ~delta ->
       let s =
         Monte_carlo.gtc_distribution ~seed:a.tg.seed
@@ -646,9 +655,9 @@ let op_worst_case t req =
 
 (* Classic and LEC columns are single kernel dots and never degrade;
    only the regret column moves down the ladder.  Candidate [i]'s regret
-   comes from the same memoized sweeps as a worst_case request with
-   [initial := plans.(i)], so warm selections are bit-identical to cold
-   ones. *)
+   is bit-identical to a worst_case request's gtc with
+   [initial := plans.(i)], from the same memoized tables, so warm
+   selections are bit-identical to cold ones. *)
 let op_select t req =
   let* a = get_analysis t req in
   let plans = a.plans in
@@ -656,8 +665,9 @@ let op_select t req =
   let kernel = Kernel.pack plans in
   let classic = Select.classic_index ~plans in
   ladder t a ~initials:plans
-    ~render:(fun ~delta col ->
-      let regret = Array.map (fun (p : Worst_case.point) -> p.gtc) col in
+    ~exhaustive:(select_exhaustive t ~plans ~deltas:a.deltas)
+    ~column:(Array.map (fun (p : Worst_case.point) -> p.gtc))
+    ~render:(fun ~delta regret ->
       check_regrets ~delta ~classic regret;
       select_point_json
         (Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret

@@ -256,6 +256,35 @@ let test_degradation_ladder () =
       | None -> Alcotest.fail "no points")
     [ full; tight; floor ]
 
+(* Q10 per-table-and-index (dim 10, about a hundred candidates) at the
+   default budget: the joint regret scan fits the exhaustive tier, where
+   one evaluation per candidate did not (it charged a table build per
+   candidate and answered degraded, on branch-and-bound).  The choices
+   are those of the per-candidate evaluation at a budget of 1e9, whose
+   digest was recorded from it. *)
+let q10_select_choices_digest = "2b1c5153114641ade27ccd30fbc95f78"
+
+let test_select_exhaustive_at_default_budget () =
+  let t = Server.create () in
+  let request budget =
+    Printf.sprintf
+      "{\"op\":\"select\",\"query\":\"Q10\",\"layout\":\"per-table-and-index\"%s}"
+      budget
+  in
+  let choices resp =
+    match response_field resp "choices" with
+    | Some v -> Json.to_string v
+    | None -> Alcotest.fail "no choices"
+  in
+  let default = Server.handle_line t (request "") in
+  Alcotest.(check string) "path" "exhaustive sweep" (str_field default "path");
+  Alcotest.(check bool) "not degraded" false (bool_field default "degraded");
+  Alcotest.(check string) "choices" q10_select_choices_digest
+    (Digest.to_hex (Digest.string (choices default)));
+  let ample = Server.handle_line t (request ",\"budget\":1000000000") in
+  Alcotest.(check string) "same choices at a budget of 1e9" (choices ample)
+    (choices default)
+
 let test_select_op () =
   let t = Server.create ~config:small_config () in
   let full = Server.handle_line t (select_request ()) in
@@ -538,7 +567,7 @@ let ladder_lines () =
          if select then select_request ~query ~layout ~budget ~id ()
          else wc_request ~query ~layout ~budget ~id ())
 
-let ladder_digest = "4e1e2815224921f4416b36bd3c27ccaf"
+let ladder_digest = "1a406b587e984df1493d81ffea9e58b1"
 
 (* The results, apart from the bookkeeping: the ids of the ladder
    requests answered on an exact tier when the regret column was still
@@ -833,6 +862,8 @@ let () =
           Alcotest.test_case "degradation ladder" `Quick
             test_degradation_ladder;
           Alcotest.test_case "select op" `Quick test_select_op;
+          Alcotest.test_case "select exhaustive at the default budget" `Quick
+            test_select_exhaustive_at_default_budget;
           Alcotest.test_case "batch shedding" `Quick test_batch_shedding;
           Alcotest.test_case "circuit breaker" `Quick test_circuit_breaker;
           Alcotest.test_case "ladder golden" `Quick test_ladder_golden;

@@ -722,6 +722,136 @@ let test_curve_matches_legacy () =
         (Float.abs (p.gtc -. q.gtc) <= 1e-9 *. Float.max 1. (Float.abs q.gtc)))
     kernel legacy
 
+(* ------------------------------------------------------------------ *)
+(* Joint regret scan: Sweep.regrets against one eval per candidate.
+
+   Plan sets mix ordinary weights with zero components, duplicates,
+   dominated copies (pruned, yet still candidates), an all-zero plan
+   (degenerate: the per-candidate path), weights tiny or huge enough
+   that a vertex value underflows to zero or overflows to infinity at
+   the grid's extreme deltas, and NaN weights (which [build] accepts),
+   whose skipped ratios the joint scan must skip alike. *)
+
+let gen_regret_plans =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun m ->
+    int_range 1 6 >>= fun k ->
+    let weight =
+      frequency
+        [
+          (12, float_range 0.1 10.);
+          (2, return 0.);
+          (1, oneofl [ 4e-320; 1e-310; 1e300; 1e308; Float.nan ]);
+        ]
+    in
+    array_size (return k) (array_size (return m) weight) >>= fun base ->
+    list_size (int_range 0 3)
+      (pair (int_range 0 (k - 1)) (oneofl [ `Dup; `Dominated; `Zero ]))
+    >>= fun edits ->
+    let extra =
+      List.map
+        (fun (j, e) ->
+          match e with
+          | `Dup -> Array.copy base.(j)
+          | `Dominated -> Array.map (fun x -> (x *. 2.) +. 0.5) base.(j)
+          | `Zero -> Array.make m 0.)
+        edits
+    in
+    (* Shuffled, so a copy may come before or after its original. *)
+    let all = Array.append base (Array.of_list extra) in
+    shuffle_a all >>= fun () -> return all)
+
+let regret_deltas = [ 1.; 1.5; 10.; 1e4; 1e200 ]
+
+let regrets_per_candidate t ~plans ~delta =
+  Array.map
+    (fun initial -> fst (Sweep.eval (Sweep.rebind t ~initial) ~delta))
+    plans
+
+let prop_regrets_bits =
+  QCheck.Test.make ~count:400
+    ~name:"regrets: joint scan == eval (rebind) per candidate, dims 1-8"
+    (QCheck.make gen_regret_plans)
+    (fun plans ->
+      let center = Vec.make (Vec.dim plans.(0)) 1. in
+      List.for_all
+        (fun prune ->
+          (* Built for an arbitrary initial: the joint scan ignores it. *)
+          let t =
+            Sweep.build ~prune ~plans ~initial:plans.(Array.length plans - 1)
+              ~center ()
+          in
+          List.for_all
+            (fun delta ->
+              let joint = Sweep.regrets t ~delta in
+              let each = regrets_per_candidate t ~plans ~delta in
+              Array.length joint = Array.length each
+              && Array.for_all2 same_float joint each)
+            regret_deltas)
+        [ true; false ])
+
+let test_regrets_scan_and_fallback () =
+  let counted plans =
+    let center = Vec.make (Vec.dim plans.(0)) 1. in
+    let t = Sweep.build ~plans ~initial:plans.(0) ~center () in
+    Qsens_obs.Obs.start ();
+    let r = Sweep.regrets t ~delta:10. in
+    let snap = Qsens_obs.Obs.snapshot () in
+    let spans = Qsens_obs.Obs.trace_string () in
+    Qsens_obs.Obs.stop ();
+    let count name =
+      List.fold_left
+        (fun acc (m, v) ->
+          match v with
+          | Qsens_obs.Obs.Vcount n when String.equal (Qsens_obs.Obs.name m) name
+            ->
+              acc + n
+          | _ -> acc)
+        0 snap
+    in
+    let has_span =
+      let needle = "\"name\":\"sweep.regrets\"" in
+      let n = String.length needle in
+      let rec go i =
+        i + n <= String.length spans
+        && (String.equal (String.sub spans i n) needle || go (i + 1))
+      in
+      go 0
+    in
+    (r, count "sweep.regret_scans", count "sweep.evals", has_span)
+  in
+  let plans = [| [| 1.; 100. |]; [| 100.; 1. |]; [| 60.; 60. |] |] in
+  let r, scans, evals, span = counted plans in
+  Alcotest.(check int) "one joint scan" 1 scans;
+  Alcotest.(check int) "no per-candidate eval" 0 evals;
+  Alcotest.(check bool) "sweep.regrets span" true span;
+  (* Fragile plans peak at their element ratio 100 * delta / (60 / delta)
+     capped by the balanced plan; the balanced plan at 60 / (1/10 + 10). *)
+  Alcotest.check check_bits "balanced plan's regret"
+    (Sweep.vertex_value ~delta:10. ~inv:0.1 60. 60.
+    /. Sweep.vertex_value ~delta:10. ~inv:0.1 1. 100.)
+    r.(2);
+  let _, scans, evals, _ = counted (Array.append plans [| [| 0.; 0. |] |]) in
+  Alcotest.(check int) "degenerate set: no joint scan" 0 scans;
+  Alcotest.(check int) "one eval per candidate" 4 evals
+
+let test_regrets_allocation () =
+  let plans =
+    Array.init 40 (fun i ->
+        Array.init 6 (fun j -> 1. +. Float.of_int (((i * 7) + (j * 3)) mod 11)))
+  in
+  let center = Vec.make 6 1. in
+  let t = Sweep.build ~plans ~initial:plans.(0) ~center () in
+  let n = 50 in
+  let (), minor, _ =
+    Qsens_obs.Obs.measure_alloc ~n (fun () ->
+        for _ = 1 to n do
+          ignore (Sweep.regrets t ~delta:10. : float array)
+        done)
+  in
+  (* The result array: 40 unboxed floats plus its header word. *)
+  Alcotest.(check (float 0.)) "minor words per scan" 41. minor
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "sweep"
@@ -742,6 +872,13 @@ let () =
           Alcotest.test_case "dominance pruning" `Quick test_sweep_pruning;
           Alcotest.test_case "all degenerate" `Quick test_all_degenerate;
           Alcotest.test_case "kernel vs legacy" `Quick test_curve_matches_legacy;
+        ] );
+      ( "regrets",
+        [
+          QCheck_alcotest.to_alcotest prop_regrets_bits;
+          Alcotest.test_case "joint scan and fallback" `Quick
+            test_regrets_scan_and_fallback;
+          Alcotest.test_case "allocation" `Quick test_regrets_allocation;
         ] );
       ( "bnb",
         [
