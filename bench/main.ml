@@ -17,8 +17,8 @@
      monte   - distributional sensitivity: worst case versus sampled
                GTC percentiles over the feasible region
      adapt   - the autonomic re-optimization policy comparison
-     robust  - minimax (worst-case-GTC-minimizing) plan choice versus
-               the nominal optimum
+     select  - classic, least-expected-cost and minimax-regret plan
+               choice across the delta axis (BENCH_select.json)
      calib   - closing the loop: recover drifted costs from observed
                executions, re-optimize, measure the recovery
      ablation- sensitivity versus join-graph topology, index set,
@@ -456,43 +456,6 @@ let bench_ablation () =
           Printf.sprintf "%.1f" dt ])
     [ 1; 2; 4; 8 ];
   Table_r.print t
-
-let bench_robust () =
-  heading
-    "Robust plan choice: minimax worst-case GTC versus the nominal optimum      (delta = 100, Fig-6 layout)";
-  let t =
-    Table_r.make
-      ~header:
-        [ "query"; "nominal wc-GTC"; "minimax wc-GTC"; "improvement";
-          "minimax nominal penalty" ]
-  in
-  List.iter
-    (fun (r : Experiment.report) ->
-      let plans =
-        Array.of_list
-          (List.map (fun p -> p.Candidates.eff) r.candidates.plans)
-      in
-      if Array.length plans > 1 then begin
-        let nominal_choice = Robust.nominal ~plans in
-        let nominal_scored =
-          Robust.evaluate ~plans ~index:nominal_choice.Robust.index ~delta:100.
-        in
-        let mm = Robust.minimax ~plans ~delta:100. in
-        Table_r.add_row t
-          [
-            r.query_name;
-            Table_r.cell_f nominal_scored.Robust.worst_gtc;
-            Table_r.cell_f mm.Robust.worst_gtc;
-            Printf.sprintf "%.1fx"
-              (nominal_scored.Robust.worst_gtc /. mm.Robust.worst_gtc);
-            Printf.sprintf "%.3fx" mm.Robust.nominal_penalty;
-          ]
-      end)
-    (reports (policy_of_figure 6));
-  Table_r.print t;
-  print_endline
-    "(the minimax plan trades a little at the estimated costs for orders
-     of magnitude in the corners of the feasible region)"
 
 (* Selection across the delta axis: the regret the classic choice is
    exposed to versus what minimax locks in, per Fig-6 query.  The table
@@ -1522,7 +1485,6 @@ let all_parts =
     ("diagram", bench_diagram);
     ("monte", bench_monte);
     ("adapt", bench_adaptive);
-    ("robust", bench_robust);
     ("select", bench_select);
     ("calib", bench_calibration);
     ("ablation", bench_ablation);

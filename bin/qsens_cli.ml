@@ -358,7 +358,11 @@ let figure_cmd =
     print_newline ();
     Qsens_report.Table.print (Qsens_report.Figure.asymptote_summary series)
   in
-  let doc = "Regenerate a full figure (all 22 queries; takes minutes)." in
+  let doc =
+    "Regenerate a full figure (all 22 queries; measured at -j 1 on a \
+     2-CPU machine: Figure 5 about 2 s, Figure 6 about 16 s, Figure 7 \
+     about 7 s)."
+  in
   Cmd.v (Cmd.info "figure" ~doc)
     Term.(
       const run $ sf_arg $ number_arg $ delta_arg $ seed_arg $ domains_arg
@@ -599,18 +603,17 @@ let robust_cmd =
       Array.of_list (List.map (fun (p : Candidates.plan) -> p.eff) c.plans)
     in
     let signature i = (List.nth c.plans i).Candidates.signature in
-    let nominal = Robust.nominal ~plans in
-    let nominal_scored =
-      Robust.evaluate ~plans ~index:nominal.Robust.index ~delta
-    in
-    let mm = Robust.minimax ~plans ~delta in
+    let p = Select.select ~plans ~delta () in
+    let nominal = p.Select.classic and robust = p.Select.minimax in
+    let worst i = p.Select.regret.(i) in
+    let penalty = Select.nominal_penalty ~plans robust in
     Printf.printf
       "nominal plan   %s\n  worst-case GTC over +/-%gx errors: %.4g\n"
-      (signature nominal.Robust.index) delta nominal_scored.Robust.worst_gtc;
+      (signature nominal) delta (worst nominal);
     Printf.printf
       "minimax plan   %s\n  worst-case GTC: %.4g, nominal penalty %.3fx\n"
-      (signature mm.Robust.index) mm.Robust.worst_gtc mm.Robust.nominal_penalty;
-    if mm.Robust.index = nominal.Robust.index then
+      (signature robust) (worst robust) penalty;
+    if robust = nominal then
       print_endline "the nominal optimum is already the robust choice"
     else
       Printf.printf
@@ -618,8 +621,8 @@ let robust_cmd =
          plan\ntrades %.1f%% at the estimates for a %.3gx better worst \
          case.\n"
         delta
-        (100. *. (mm.Robust.nominal_penalty -. 1.))
-        (nominal_scored.Robust.worst_gtc /. mm.Robust.worst_gtc)
+        (100. *. (penalty -. 1.))
+        (worst nominal /. worst robust)
   in
   let doc = "Recommend a plan that is robust to cost-estimate errors." in
   Cmd.v (Cmd.info "robust" ~doc)

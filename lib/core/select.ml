@@ -43,6 +43,12 @@ let classic_index ~plans =
   validate ~who:"Select.classic_index" plans;
   Framework.optimal_index ~plans ~costs:(ones_center ~plans)
 
+let nominal_penalty ~plans i =
+  validate ~who:"Select.nominal_penalty" plans;
+  let ones = ones_center ~plans in
+  Vec.dot plans.(i) ones
+  /. Vec.dot plans.(Framework.optimal_index ~plans ~costs:ones) ones
+
 (* E[C_i] under the per-coordinate uniform prior over
    [c_i/delta, c_i*delta] is the interval midpoint c_i*(delta+1/delta)/2,
    so every plan's expected cost is one kernel dot against the midpoint

@@ -21,22 +21,25 @@
     + {b minimax regret} (PARQO-style penalty) — argmin over candidates
       [p] of the worst-case GTC of [p] against the whole candidate set
       over the box, i.e. [max over box of (U_p . C) / (min_q U_q . C)].
-      Each candidate's regret reuses the worst-case engine with
+      Each candidate's regret is the worst-case GTC with
       [initial := p], so the classic candidate's column reproduces
       {!Worst_case.curve} bit-for-bit.
 
     {2 Tier dispatch and determinism}
 
-    Regret evaluation is {!Worst_case.curves_with_path} with every
-    candidate as the initial plan: the same three-tier dimension
-    dispatch as {!Worst_case.curve_with_path} — exhaustive subset-sum
-    sweeps up to {!Limits.exhaustive_max_dim}, budgeted branch-and-bound
-    up to {!Limits.bnb_max_dim} (a search that trips its per-(candidate,
-    delta) node budget degrades to the linear-fractional program for
-    that cell alone, counted in [fallbacks]), and the linear-fractional
-    program beyond — from one engine build per plan set.  Each regret
-    column is therefore bit-identical to {!Worst_case.curve} with that
-    candidate as the initial plan.  All argmins scan in ascending
+    Up to {!Limits.exhaustive_max_dim} every regret column comes from
+    one subset-sum table for the plan set and one joint scan per delta
+    ({!Sweep.regrets}): the vertex denominator [min_q U_q . C] is shared
+    by every candidate, so it is taken once per vertex rather than once
+    per candidate.  Beyond the gate, regret evaluation is
+    {!Worst_case.curves_with_path} with every candidate as the initial
+    plan: budgeted branch-and-bound up to {!Limits.bnb_max_dim} (a
+    search that trips its per-(candidate, delta) node budget degrades to
+    the linear-fractional program for that cell alone, counted in
+    [fallbacks]), and the linear-fractional program beyond — from one
+    engine build per plan set.  Either way each regret column is
+    bit-identical to {!Worst_case.curve} with that candidate as the
+    initial plan.  All argmins scan in ascending
     candidate order with strict improvement and skip NaN scores, so
     selections are bit-identical across pool sizes.  At [delta = 1] the
     box is a point, every regret is the cost ratio at the estimate, and
@@ -98,6 +101,13 @@ val estimate :
 val classic_index : plans:Vec.t array -> int
 (** The classic optimum: {!Framework.optimal_index} at the all-ones
     estimated cost point. *)
+
+val nominal_penalty : plans:Vec.t array -> int -> float
+(** [nominal_penalty ~plans i] is candidate [i]'s cost at the estimated
+    costs relative to the classic optimum's, [U_i . 1 / U_classic . 1]
+    (at least 1): what choosing [i] gives up where the estimates are
+    right.  Raises [Invalid_argument] on an empty plan set or
+    mismatched dimensions. *)
 
 val expected_costs :
   kernel:Kernel.t -> center:Vec.t -> delta:float -> float array

@@ -55,10 +55,13 @@ val build :
   t
 (** [build ~plans ~initial ~center ()] precomputes the per-plan subset-sum
     tables for boxes [Box.around center ~delta] at any [delta >= 1].
-    [prune] (default true) drops dominated plans (Section 4.4) before the
-    tables are built — result-identical by the determinism contract.
-    With [?pool] the per-plan table fills run across domains (each plan's
-    table is a disjoint slice, results bit-identical to sequential).
+    [prune] (default true) drops dominated plans (Section 4.4) from the
+    argmax — result-identical by the determinism contract.  Every plan
+    keeps its table, pruned ones too: {!regrets} divides each plan's
+    own vertex values by the kept plans' minimum, so the table is
+    [plans * 2^dim] floats.  With [?pool] the per-plan table fills run
+    across domains (each plan's table is a disjoint slice, results
+    bit-identical to sequential).
 
     Requires at least one plan, [supported ~dim:(Vec.dim center)],
     componentwise positive [center], and nonnegative [plans]/[initial];
@@ -70,9 +73,9 @@ val rebind : t -> initial:Vec.t -> t
     subset-sum tables, kept set and degenerate flags (which depend only
     on plans and center) and recomputing just the numerator side.
     Bit-identical to [build ~plans ~initial ~center ()] at a fraction of
-    its cost; minimax-regret selection evaluates every candidate from
-    one build this way.  Raises [Invalid_argument] on dimension mismatch
-    or a negative component. *)
+    its cost; the server answers every worst_case initial from one table
+    per plan set this way.  Raises [Invalid_argument] on dimension
+    mismatch or a negative component. *)
 
 val bytes : t -> int
 (** Resident size in bytes, computed from the table dimensions (8 bytes

@@ -79,7 +79,9 @@ val curves_with_path :
     to the linear-fractional program; [path] is as in
     {!curve_with_path}, counting those fallbacks as "searches" out of
     [initials * deltas].  Minimax-regret selection ({!Select}) scores
-    every candidate this way.  Raises [Invalid_argument] on an empty
+    every candidate this way above {!Sweep.max_dim}; up to it, one
+    joint scan per delta ({!Sweep.regrets}) gives the same columns
+    without evaluating each candidate separately.  Raises [Invalid_argument] on an empty
     [initials], and under the same conditions as the underlying
     builders. *)
 
