@@ -469,7 +469,7 @@ let check_pattern t pattern =
 let kept_plan t plan =
   if plan < 0 || plan >= Array.length t.degenerate then
     invalid_arg (Printf.sprintf "Sweep: plan %d out of range" plan);
-  if not (Array.mem plan t.kept) then
+  if not (Array.exists (Int.equal plan) t.kept) then
     invalid_arg (Printf.sprintf "Sweep: plan %d was pruned" plan);
   plan
 

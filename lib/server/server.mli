@@ -9,14 +9,15 @@
     + {b Deadline-budgeted degradation}.  Every analysis request carries
       a logical node budget (field ["budget"], a positive integer,
       default [config.default_budget]; anything else is [malformed]).
-      [worst_case] and [select] share one evaluation ladder over an
-      array of initial plans — the classic plan alone, or every
-      candidate for its regret column — which tries exhaustive
-      subset-sum tables, then branch-and-bound, then the
-      linear-fractional program, then a seeded Monte-Carlo estimate:
-      each tier under a fresh budget of the request's allowance,
-      charged per initial plan, moving down a tier when the cooperative
-      {!Qsens_budget.Budget} checkpoints trip.  The response always reports the ["path"] taken
+      [worst_case] and [select] share one evaluation ladder — for the
+      classic plan alone, or for every candidate's regret — which tries
+      exhaustive subset-sum tables (one per plan set: a rebind for
+      [worst_case], one joint regret scan per delta for [select]), then
+      branch-and-bound, then the linear-fractional program (both per
+      initial plan), then a seeded Monte-Carlo estimate: each tier
+      under a fresh budget of the request's allowance, table builds
+      charged before any evaluation, moving down a tier when the
+      cooperative {!Qsens_budget.Budget} checkpoints trip.  The response always reports the ["path"] taken
       and ["degraded"] (true when a nominally-preferred tier was
       abandoned); the Monte-Carlo tier never fails and annotates its
       answer as an estimate.  Budgets are logical (node counts), never
