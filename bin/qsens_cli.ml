@@ -629,7 +629,8 @@ let robust_cmd =
     Term.(const run $ sf_arg $ policy_arg $ query_arg $ delta_arg $ seed_arg)
 
 let select_cmd =
-  let run sf policy name delta seed domains =
+  let run sf policy name delta seed domains trace metrics =
+    with_obs ~trace ~metrics @@ fun () ->
     with_domains domains (fun pool ->
         let query = lookup_query sf name in
         let schema = Qsens_tpch.Spec.schema ~sf in
@@ -694,7 +695,7 @@ let select_cmd =
   Cmd.v (Cmd.info "select" ~doc)
     Term.(
       const run $ sf_arg $ policy_arg $ query_arg $ delta_arg $ seed_arg
-      $ domains_arg)
+      $ domains_arg $ trace_arg $ metrics_arg)
 
 let params_cmd =
   let run () =
