@@ -263,27 +263,16 @@ let eval ?budget t ~delta =
 
 (* ------------------------------------------------------------------ *)
 (* Minimax regret in one scan.  Candidate [i]'s regret is [eval] with
-   [initial := plans.(i)]: the max over (kept plan q, pattern k) of
-   [fl (num_i(k) / den_q(k))].  Its numerator table is row [i] of [sums]
-   (the same [plans.(i) * center] subset sums a rebind computes), and for
-   a fixed k and [num >= 0], correctly rounded division is monotone
-   nonincreasing in the denominator, so the max over q of the ratios is
-   the one ratio against [den(k) = min_q den_q(k)] (DESIGN.md section 15).
-   The scan therefore takes that min once per pattern and divides every
-   numerator by it: O((kept + plans) * 2^dim) per delta instead of
-   O(plans * kept * 2^dim).
-
-   Where a ratio can be NaN the two sides must still agree on which
-   ratios exist.  With no degenerate plan, [eval]'s skipped (NaN) ratios
-   are [0/0], [inf/inf] and anything over a NaN denominator.  [den(k)]
-   starts from the first kept plan and skips NaN rivals, as the argmax
-   skips their ratios; [den(k) = +inf] makes [num/den] NaN exactly when
-   every rival ratio is.  What the min cannot reproduce is a zero
-   numerator over a zero minimum with a positive rival (a 0 against
-   NaN), or a NaN first row: [not (den > 0.)] detects both — a
-   denominator that underflowed to zero or a NaN weight — and, like a
-   degenerate (all-zero) plan, sends the set to [eval] one candidate at
-   a time, so the NaN/skip contract holds unchanged. *)
+   [initial := plans.(i)], whose numerator table is row [i] of [sums].
+   For [num >= 0], correctly rounded division is monotone nonincreasing
+   in the denominator, so the max over kept q of [fl (num / den_q)] is
+   the one ratio against [den = min_q den_q]: take that min once per
+   pattern and divide every numerator by it (DESIGN.md section 15).
+   The min starts from the first kept row and skips NaN rivals, as the
+   argmax skips their ratios.  Two cases a min cannot reproduce — a zero
+   numerator over a zero min with a positive rival, and a NaN first row
+   — both show as [not (den > 0.)]; they, and sets with a degenerate
+   plan, are scored one candidate at a time through [eval]. *)
 
 let row_initial t i =
   let num_sums = FA.sub t.sums (i * t.nv) t.nv in
