@@ -825,8 +825,9 @@ let test_regrets_scan_and_fallback () =
   Alcotest.(check int) "one joint scan" 1 scans;
   Alcotest.(check int) "no per-candidate eval" 0 evals;
   Alcotest.(check bool) "sweep.regrets span" true span;
-  (* Fragile plans peak at their element ratio 100 * delta / (60 / delta)
-     capped by the balanced plan; the balanced plan at 60 / (1/10 + 10). *)
+  (* The balanced plan's worst vertex puts the first coordinate high and
+     the second low: it costs 60*10 + 60/10 there, against plan 0's
+     1*10 + 100/10, the cheapest plan at that vertex. *)
   Alcotest.check check_bits "balanced plan's regret"
     (Sweep.vertex_value ~delta:10. ~inv:0.1 60. 60.
     /. Sweep.vertex_value ~delta:10. ~inv:0.1 1. 100.)
