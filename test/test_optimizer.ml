@@ -318,44 +318,65 @@ let prop_memo_bits =
    total-cost bits for every query x layout x 8 seeded cost vectors —
    generated by the memo DP before the prepared plan space replaced it.
    The differential tests share Node's constructors with the reference;
-   this one also catches a bit change inside a constructor. *)
-let golden_digest () =
-  let buf = Buffer.create (1 lsl 16) in
-  List.iteri
-    (fun li policy ->
-      let env = env policy in
-      let groups = groups_of env policy in
-      let base = Defaults.base_costs env.Env.space in
-      let st = Random.State.make [| 2003; li |] in
-      let thetas =
-        List.init 8 (fun _ ->
-            Vec.init (Groups.dim groups) (fun _ ->
-                Float.pow 10. (Random.State.float st 8. -. 4.)))
-      in
-      List.iter
-        (fun (q : Query.t) ->
-          let prepared = Optimizer.prepare env q in
-          List.iter
-            (fun theta ->
-              let costs = Groups.expand_costs groups ~base_costs:base ~theta in
-              let r = Optimizer.best prepared ~costs in
-              Printf.bprintf buf "%s %s %Lx" q.name r.signature
-                (Int64.bits_of_float r.total_cost);
-              Array.iter
-                (fun u -> Printf.bprintf buf " %Lx" (Int64.bits_of_float u))
-                r.plan.Node.usage;
-              Buffer.add_char buf '\n')
-            thetas)
-        (Qsens_tpch.Queries.all ~sf))
-    layouts;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+   this one also catches a bit change inside a constructor.  The same 528
+   probes also return the total of [optimizer.rechecks]: a near tie is a
+   slot whose (minimum, runner-up) pair lies within the window, so an
+   unchanged total shows every slot's pair stayed put, not only the final
+   plans. *)
+let golden_run =
+  lazy
+    (let buf = Buffer.create (1 lsl 16) in
+     Qsens_obs.Obs.start ();
+     Fun.protect ~finally:Qsens_obs.Obs.stop @@ fun () ->
+     List.iteri
+       (fun li policy ->
+         let env = env policy in
+         let groups = groups_of env policy in
+         let base = Defaults.base_costs env.Env.space in
+         let st = Random.State.make [| 2003; li |] in
+         let thetas =
+           List.init 8 (fun _ ->
+               Vec.init (Groups.dim groups) (fun _ ->
+                   Float.pow 10. (Random.State.float st 8. -. 4.)))
+         in
+         List.iter
+           (fun (q : Query.t) ->
+             let prepared = Optimizer.prepare env q in
+             List.iter
+               (fun theta ->
+                 let costs = Groups.expand_costs groups ~base_costs:base ~theta in
+                 let r = Optimizer.best prepared ~costs in
+                 Printf.bprintf buf "%s %s %Lx" q.name r.signature
+                   (Int64.bits_of_float r.total_cost);
+                 Array.iter
+                   (fun u -> Printf.bprintf buf " %Lx" (Int64.bits_of_float u))
+                   r.plan.Node.usage;
+                 Buffer.add_char buf '\n')
+               thetas)
+           (Qsens_tpch.Queries.all ~sf))
+       layouts;
+     let rechecks =
+       List.fold_left
+         (fun acc (m, v) ->
+           match v with
+           | Qsens_obs.Obs.Vcount n
+             when String.equal (Qsens_obs.Obs.name m) "optimizer.rechecks" ->
+               acc + n
+           | _ -> acc)
+         0 (Qsens_obs.Obs.snapshot ())
+     in
+     (Digest.to_hex (Digest.string (Buffer.contents buf)), rechecks))
+
+let fixture name = In_channel.with_open_text name In_channel.input_all |> String.trim
 
 let test_golden_digest () =
-  let expected =
-    In_channel.with_open_text "fixtures/optimizer.digest" In_channel.input_all
-    |> String.trim
-  in
-  Alcotest.(check string) "digest" expected (golden_digest ())
+  Alcotest.(check string) "digest" (fixture "fixtures/optimizer.digest")
+    (fst (Lazy.force golden_run))
+
+let test_golden_rechecks () =
+  Alcotest.(check string) "optimizer.rechecks over the golden probes"
+    (fixture "fixtures/optimizer.rechecks")
+    (string_of_int (snd (Lazy.force golden_run)))
 
 let test_degenerate_costs () =
   (* All-zero costs tie every alternative; a negative or non-finite entry
@@ -479,6 +500,7 @@ let () =
             test_memo_all_queries;
           QCheck_alcotest.to_alcotest prop_memo_bits;
           Alcotest.test_case "golden digest" `Slow test_golden_digest;
+          Alcotest.test_case "golden near-tie rechecks" `Slow test_golden_rechecks;
           Alcotest.test_case "degenerate costs == memo" `Quick
             test_degenerate_costs;
         ] );
