@@ -314,6 +314,30 @@ let prop_memo_bits =
         (Optimizer.optimize ~max_bushy_side:bushy env q ~costs)
         (Qsens_oracle.optimize_memo ~max_bushy_side:bushy env q ~costs))
 
+(* Tie-heavy cost vectors: every entry drawn from {0, 1, 2, 4}, so many
+   alternatives cost exactly the same (or nothing) and most slots are
+   settled by the near-tie replay, whose order decides the winner. *)
+let prop_memo_ties =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (int_bound (Array.length queries - 1))
+        (int_bound 2) (int_range 1 3) int)
+  in
+  QCheck.Test.make ~count:40
+    ~name:"optimize == memo DP on tie-heavy costs in {0, 1, 2, 4}"
+    (QCheck.make gen) (fun (qi, li, bushy, seed) ->
+      let _, env = List.nth envs li in
+      let st = Random.State.make [| seed |] in
+      let costs =
+        Array.init (Space.dim env.Env.space) (fun _ ->
+            [| 0.; 1.; 2.; 4. |].(Random.State.int st 4))
+      in
+      let q = queries.(qi) in
+      same_result
+        (Optimizer.optimize ~max_bushy_side:bushy env q ~costs)
+        (Qsens_oracle.optimize_memo ~max_bushy_side:bushy env q ~costs))
+
 (* Golden digest of the optimizer's answers — signature, usage bits and
    total-cost bits for every query x layout x 8 seeded cost vectors —
    generated by the memo DP before the prepared plan space replaced it.
@@ -499,6 +523,7 @@ let () =
           Alcotest.test_case "prepared == memo, all queries and layouts" `Slow
             test_memo_all_queries;
           QCheck_alcotest.to_alcotest prop_memo_bits;
+          QCheck_alcotest.to_alcotest prop_memo_ties;
           Alcotest.test_case "golden digest" `Slow test_golden_digest;
           Alcotest.test_case "golden near-tie rechecks" `Slow test_golden_rechecks;
           Alcotest.test_case "degenerate costs == memo" `Quick
