@@ -1222,11 +1222,12 @@ let bnb_minor_words_per_grid ~smoke = if smoke then 2931 else 9727
 (* Steady-state minor words per Q8 optimizer probe on a prepared plan
    space (23760.25 averaged over the 4 smoke probes, 26534.41 over the
    17 full ones), as measured when the prepared space replaced the memo
-   DP, which allocated 79.7M words per call.  What remains is building
-   the winning plan through the Node constructors and float boxing in
-   the ~230 near-tie settlements per probe; the re-costing pass over the
-   303k alternatives allocates nothing, so the ceiling does not grow with
-   them.  The gate fails on any increase. *)
+   DP, which allocated 79.7M words per call, and unchanged since the
+   probe costs only each width class's two cheapest inputs.  What
+   remains is building the winning plan through the Node constructors
+   and float boxing in the near-tie settlements; the class-minimum pass
+   and the near-tie replays allocate nothing, so the ceiling does not
+   grow with the alternatives.  The gate fails on any increase. *)
 let optimizer_minor_words_per_probe ~smoke = if smoke then 23760 else 26534
 
 (* Interleaved best-of: alternate the paths round-robin within every

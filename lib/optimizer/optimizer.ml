@@ -4,7 +4,14 @@ module Obs = Qsens_obs.Obs
 let m_calls = Obs.counter ~help:"optimizer invocations" "optimizer.calls"
 
 let m_memo_inserts =
-  Obs.counter ~help:"plan alternatives considered" "optimizer.memo_inserts"
+  Obs.counter
+    ~help:"plan alternatives in the prepared space, per probe (the memo DP's insertions)"
+    "optimizer.memo_inserts"
+
+let m_costed =
+  Obs.counter
+    ~help:"alternatives costed: the class-minimum pass plus near-tie replays"
+    "optimizer.costed"
 
 let m_prepares =
   Obs.counter ~help:"plan spaces enumerated" "optimizer.prepares"
@@ -45,7 +52,12 @@ let popcount mask =
    splits, times the join methods, plus index nested loops per single
    inner relation.  Their target slot and local usage depend on the pair
    only through the two widths (and, for the target, the left order), so
-   each split keeps one small cell per pair of width classes. *)
+   each split keeps one small cell per pair of width classes.
+
+   A probe does not cost every pair.  Within a cell an alternative's cost
+   is monotone in each input's cost, so a slot's minimum and runner-up
+   come from the two cheapest inputs of each width class; a near tie
+   replays only the inner class that lands in the rechecked slot. *)
 
 (* Alternative kinds: the low three bits of a winner's [op] code; the
    bits above hold the access path, merge edge, index-NLJ combination or
@@ -94,6 +106,18 @@ type scratch = {
   mutable keep : Qsens_linalg.Vec.t;
   sl : Qsens_linalg.Vec.t;
   sr : Qsens_linalg.Vec.t;
+  (* The two cheapest slots of each width class of a settled mask, ties
+     to the first (-1: the class has one slot); and the same for the
+     costs sorted on a merge key, at [class * nkeys + key], filled on
+     first use in a probe ([adj_stamp] = [probe]). *)
+  min1 : int array;
+  min2 : int array;
+  adj1 : int array;
+  adj2 : int array;
+  adj_stamp : int array;
+  split_lo : float array;
+      (** per split: its cheapest alternative, whatever slot it lands in *)
+  mutable costed : int;  (** alternatives costed in the current mask *)
 }
 
 type space = {
@@ -119,13 +143,20 @@ type space = {
   slot_resc : float array;
       (** rescans of the inner input when the slot is a block nested-loop
           join's outer (a function of its card and width) *)
-  nw : int array;  (** per mask: number of distinct widths *)
+  (* Width classes: [cls_first.(m)] is the id of mask [m]'s class 0 and
+     [cls_first.(m+1)] ends its classes; class [c]'s slots, ascending,
+     are [cls_slot.(cls_start.(c))] to [cls_slot.(cls_start.(c+1) - 1)]. *)
+  cls_first : int array;
+  cls_start : int array;
+  cls_slot : int array;
   at_base : int array;  (** per mask: offset of its [slot_at] table *)
   slot_at : int array;
-      (** [at_base.(m) + o * nw.(m) + w]: the slot an output with order
+      (** [at_base.(m) + o * nw m + w]: the slot an output with order
           [o] and width class [w] lands in (order [o] dropped when it is
           not interesting at [m]); -1 if none *)
-  (* Join edges: endpoint bits and the order ids of their columns. *)
+  (* Join edges: endpoint bits and the order ids of their columns (ids
+     below [nkeys]; 0 is no order). *)
+  nkeys : int;
   joins : Query.join array;
   e_bl : int array;
   e_br : int array;
@@ -362,8 +393,10 @@ let build ~max_bushy_side env (query : Query.t) =
   let slot_wcls = Dyn.create () and slot_sort = Dyn.create () in
   let slot_resc = Dyn.create () and slot_card = Dyn.create () in
   let reps = Dyn.create () in
-  let nw = Array.make (full + 1) 0 and at_base = Array.make (full + 1) 0 in
-  let slot_at = Dyn.create () in
+  let at_base = Array.make (full + 1) 0 and slot_at = Dyn.create () in
+  let cls_first = Array.make (full + 2) 0 in
+  let cls_start = Dyn.create () and cls_slot = Dyn.create () in
+  let nw mask = cls_first.(mask + 1) - cls_first.(mask) in
   let slots_of mask = List.init (slot_first.(mask + 1) - slot_first.(mask)) (fun i -> slot_first.(mask) + i) in
   (* The slots of the mask being enumerated: (order id, width) ->
      representative. *)
@@ -419,7 +452,15 @@ let build ~max_bushy_side env (query : Query.t) =
         Dyn.push reps rep)
       entries;
     slot_first.(mask + 1) <- Dyn.length reps;
-    nw.(mask) <- List.length widths;
+    cls_first.(mask) <- Dyn.length cls_start;
+    List.iter
+      (fun w ->
+        Dyn.push cls_start (Dyn.length cls_slot);
+        List.iteri
+          (fun i (_, (_, sw, _)) -> if sw = w then Dyn.push cls_slot (first + i))
+          entries)
+      widths;
+    cls_first.(mask + 1) <- Dyn.length cls_start;
     at_base.(mask) <- Dyn.length slot_at;
     for o = 0 to nord do
       let o' = resolve mask o in
@@ -489,12 +530,12 @@ let build ~max_bushy_side env (query : Query.t) =
         let lefts = slots_of s1v and rights = slots_of s2 in
         if (cross <> [] || allow_cartesian) && lefts <> [] && rights <> [] then begin
           let k = Dyn.length split_s1 in
-          let nb = nw.(s2) in
+          let nb = nw s2 in
           let cell0 = Dyn.length cell_wsum in
           Dyn.push split_s1 s1v;
           Dyn.push split_bnlj (-1);
           Dyn.push split_mgj (-1);
-          for _ = 1 to nw.(s1v) * nb do
+          for _ = 1 to nw s1v * nb do
             Dyn.push cell_wsum (-1);
             Dyn.push cell_hj (-1)
           done;
@@ -600,7 +641,7 @@ let build ~max_bushy_side env (query : Query.t) =
                       | Index_nlj { index_only; _ } -> index_only
                       | _ -> invariant "index nested-loop join")
                     combos;
-                inlj_wsum = Array.make (nw.(rest) * nc) (-1);
+                inlj_wsum = Array.make (nw rest * nc) (-1);
               }
             in
             List.iter
@@ -666,6 +707,7 @@ let build ~max_bushy_side env (query : Query.t) =
   let nslots = Dyn.length reps in
   let nlocals = Dyn.length loc_start in
   Dyn.push loc_start (Buffer.length loc_idx);
+  Dyn.push cls_start (Dyn.length cls_slot);
   {
     ctx;
     dim = Qsens_cost.Space.dim env.Env.space;
@@ -683,9 +725,12 @@ let build ~max_bushy_side env (query : Query.t) =
     slot_wcls = Dyn.to_array slot_wcls;
     slot_sort = Dyn.to_array slot_sort;
     slot_resc = Dyn.to_array slot_resc;
-    nw;
+    cls_first;
+    cls_start = Dyn.to_array cls_start;
+    cls_slot = Dyn.to_array cls_slot;
     at_base;
     slot_at = Dyn.to_array slot_at;
+    nkeys = nord + 1;
     joins;
     e_bl;
     e_br;
@@ -720,8 +765,12 @@ let space_of p =
       if Atomic.compare_and_set p.space None (Some sp) then sp
       else Option.value (Atomic.get p.space) ~default:sp
 
+(* Number of width classes of mask [m]. *)
+let[@inline] nw sp m = sp.cls_first.(m + 1) - sp.cls_first.(m)
+
 let new_scratch sp =
   let ns = sp.nslots + 1 in
+  let ncls = sp.cls_first.(sp.full + 1) in
   {
     cost = Array.make ns infinity;
     second = Array.make ns infinity;
@@ -742,10 +791,25 @@ let new_scratch sp =
     keep = Array.make sp.dim 0.;
     sl = Array.make sp.dim 0.;
     sr = Array.make sp.dim 0.;
+    min1 = Array.make ncls (-1);
+    min2 = Array.make ncls (-1);
+    adj1 = Array.make (ncls * sp.nkeys) (-1);
+    adj2 = Array.make (ncls * sp.nkeys) (-1);
+    adj_stamp = Array.make (ncls * sp.nkeys) 0;
+    split_lo = Array.make sp.split_first.(sp.full + 1) infinity;
+    costed = 0;
   }
 
 (* Whether merge edge [e]'s left column lies on split [g]'s left side. *)
 let left_first sp g e = sp.e_bl.(e) land cget sp.split_s1 g <> 0
+
+(* The merge keys of edge [e] over split side [s1]: the left input's
+   order, then the right's. *)
+let[@inline] key_left sp e s1 =
+  if sp.e_bl.(e) land s1 <> 0 then sp.e_lord.(e) else sp.e_rord.(e)
+
+let[@inline] key_right sp e s1 =
+  if sp.e_bl.(e) land s1 <> 0 then sp.e_rord.(e) else sp.e_lord.(e)
 
 (* ------------------------------------------------------------------ *)
 (* Materialization: winners become plans through the Node constructors,
@@ -832,9 +896,8 @@ and usage_of sp sc t g i op ~into =
     else begin
       (* A merge join over inputs sorted on the edge's columns, sorting a
          winner only when it lacks the order. *)
-      let lf = left_first sp g sub in
-      let kl = if lf then sp.e_lord.(sub) else sp.e_rord.(sub) in
-      let kr = if lf then sp.e_rord.(sub) else sp.e_lord.(sub) in
+      let s1 = cget sp.split_s1 g in
+      let kl = key_left sp sub s1 and kr = key_right sp sub s1 in
       let sorted s u buf key =
         if sp.slot_ord.(s) = key then u
         else begin
@@ -883,28 +946,241 @@ let settle sp sc costs t c g i op =
 let eps = 1e-9
 
 (* qsens-hot: begin *)
-(* Offer alternative (g, i, op) of cost [c] to slot [t].  With [only < 0]
-   this keeps the two smallest costs and the first minimum; otherwise it
-   forwards slot [only]'s alternatives within the window to [settle]. *)
-let[@inline] consider sp sc costs ~only t c g i op =
-  if only < 0 then begin
-    let best = sc.cost.(t) in
-    if c < best then begin
-      sc.second.(t) <- best;
-      sc.cost.(t) <- c;
-      sc.win_g.(t) <- g;
-      sc.win_i.(t) <- i;
-      sc.win_op.(t) <- op
-    end
-    else if c < sc.second.(t) then sc.second.(t) <- c
+(* First pass: offer alternative (g, i, op) of cost [c] to slot [t],
+   keeping the two smallest costs and the first minimum. *)
+let[@inline] keep sc t c g i op =
+  sc.costed <- sc.costed + 1;
+  let best = sc.cost.(t) in
+  if c < best then begin
+    sc.second.(t) <- best;
+    sc.cost.(t) <- c;
+    sc.win_g.(t) <- g;
+    sc.win_i.(t) <- i;
+    sc.win_op.(t) <- op
   end
-  else if t = only && (sc.unsafe || c <= sc.settle_f.(0)) then
-    settle sp sc costs t c g i op
+  else if c < sc.second.(t) then sc.second.(t) <- c
 
-(* Every alternative of one mask's slots, in the memo DP's order. *)
-let pass_mask sp sc costs ~only mask =
+(* Replay: alternative (g, i, op) lands in the slot [t] being rechecked;
+   forward it to [settle] when it lies in the window. *)
+let[@inline] offer sp sc costs t c g i op =
+  sc.costed <- sc.costed + 1;
+  if sc.unsafe || c <= sc.settle_f.(0) then settle sp sc costs t c g i op
+
+(* [keep] with [only < 0]; otherwise [offer] when [t] is slot [only]. *)
+let[@inline] consider sp sc costs ~only t c g i op =
+  if only < 0 then keep sc t c g i op
+  else if t = only then offer sp sc costs t c g i op
+
+(* Slot [s]'s cost as a merge input sorted on order [key] (its own cost
+   for [key < 0]). *)
+let[@inline] keyed sp sc s key =
+  if key < 0 || sp.slot_ord.(s) = key then sc.cost.(s)
+  else sc.cost.(s) +. sc.lcost.(sp.slot_sort.(s))
+
+(* The two cheapest slots of class [c] under [key] into [a.(j)] and
+   [b.(j)], ties to the first; [b.(j)] is -1 when the class has one
+   slot. *)
+let cheapest sp sc ~key c a b j =
+  let i0 = sp.cls_start.(c) in
+  let m1 = ref sp.cls_slot.(i0) and m2 = ref (-1) in
+  for i = i0 + 1 to sp.cls_start.(c + 1) - 1 do
+    let s = sp.cls_slot.(i) in
+    let x = keyed sp sc s key in
+    if x < keyed sp sc !m1 key then begin
+      m2 := !m1;
+      m1 := s
+    end
+    else if !m2 < 0 || x < keyed sp sc !m2 key then m2 := s
+  done;
+  a.(j) <- !m1;
+  b.(j) <- !m2
+
+(* The index of class [c]'s two cheapest slots sorted on [key] in
+   [adj1] and [adj2]. *)
+let[@inline] sorted_min sp sc c key =
+  let j = (c * sp.nkeys) + key in
+  if sc.adj_stamp.(j) <> sc.probe then begin
+    cheapest sp sc ~key c sc.adj1 sc.adj2 j;
+    sc.adj_stamp.(j) <- sc.probe
+  end;
+  j
+
+(* Whether join edge [e] crosses the split ([s1], [s2]). *)
+let[@inline] crosses sp e s1 s2 =
+  let bl = sp.e_bl.(e) and br = sp.e_br.(e) in
+  (bl land s1 <> 0 && br land s2 <> 0) || (bl land s2 <> 0 && br land s1 <> 0)
+
+
+(* The right class whose cell in [row] (of [nb] cells) lands in width
+   class [wt]; -1 if none.  Right classes have distinct widths, so there
+   is at most one. *)
+let[@inline] inner_class sp row nb wt =
+  let w = ref (-1) in
+  for wr = 0 to nb - 1 do
+    if cget sp.cell_wsum (row + wr) = wt then w := wr
+  done;
+  !w
+
+(* The class-minimum pass over one mask's splits.  A join's cost is
+   [fl(fl(x + y) + local)] (the block nested-loop join's inner term
+   [fl(rescans * y)], rescans >= 0), monotone in each input cost [x] and
+   [y], and its target slot depends on a pair only through the cell (and
+   the block nested-loop join's outer order).  So over one cell the two
+   smallest costs are among the pairs (1,1), (1,2) and (2,1) of each
+   class's two cheapest inputs, and every slot gets exactly the minimum
+   and runner-up the full pass would give it.  Each split also records
+   its cheapest alternative, which bounds every alternative of it from
+   below for the near-tie replay. *)
+let class_pass sp sc mask =
   let cost = sc.cost and lc = sc.lcost and ns = sp.nslots in
-  let tb = sp.at_base.(mask) and tnw = sp.nw.(mask) in
+  let tb = sp.at_base.(mask) and tnw = nw sp mask in
+  let next_cell = ref sp.cell_first.(mask) in
+  for k = sp.split_first.(mask) to sp.split_first.(mask + 1) - 1 do
+    let s1 = cget sp.split_s1 k in
+    let s2 = mask lxor s1 in
+    let na = nw sp s1 and nb = nw sp s2 in
+    let c1 = sp.cls_first.(s1) and c2 = sp.cls_first.(s2) in
+    let cell0 = !next_cell in
+    next_cell := cell0 + (na * nb);
+    let cross = cget sp.split_mgj k >= 0 in
+    let lo = ref infinity in
+    if cross then
+      for wl = 0 to na - 1 do
+        let l1 = sc.min1.(c1 + wl) and l2 = sc.min2.(c1 + wl) in
+        for wr = 0 to nb - 1 do
+          let r1 = sc.min1.(c2 + wr) and r2 = sc.min2.(c2 + wr) in
+          let cell = cell0 + (wl * nb) + wr in
+          let t = sp.slot_at.(tb + cget sp.cell_wsum cell) in
+          let h = lc.(cget sp.cell_hj cell) in
+          let c = cost.(l1) +. cost.(r1) +. h in
+          if c < !lo then lo := c;
+          keep sc t c k ((l1 * ns) + r1) k_hash;
+          if r2 >= 0 then
+            keep sc t (cost.(l1) +. cost.(r2) +. h) k ((l1 * ns) + r2) k_hash;
+          if l2 >= 0 then
+            keep sc t (cost.(l2) +. cost.(r1) +. h) k ((l2 * ns) + r1) k_hash
+        done
+      done;
+    let bnlj = lc.(cget sp.split_bnlj k) in
+    for l = sp.slot_first.(s1) to sp.slot_first.(s1 + 1) - 1 do
+      let cl = cost.(l) and resc = sp.slot_resc.(l) in
+      let row = cell0 + (sp.slot_wcls.(l) * nb) in
+      let trow = tb + (sp.slot_ord.(l) * tnw) in
+      for wr = 0 to nb - 1 do
+        let t = sp.slot_at.(trow + cget sp.cell_wsum (row + wr)) in
+        let r1 = sc.min1.(c2 + wr) and r2 = sc.min2.(c2 + wr) in
+        let c = cl +. (resc *. cost.(r1)) +. bnlj in
+        if c < !lo then lo := c;
+        keep sc t c k ((l * ns) + r1) k_bnlj;
+        if r2 >= 0 then
+          keep sc t (cl +. (resc *. cost.(r2)) +. bnlj) k ((l * ns) + r2) k_bnlj
+      done
+    done;
+    if cross then begin
+      let mgj = lc.(cget sp.split_mgj k) in
+      for e = 0 to Array.length sp.e_bl - 1 do
+        if crosses sp e s1 s2 then begin
+          let kl = key_left sp e s1 and kr = key_right sp e s1 in
+          let op = k_merge + (e lsl 3) and trow = tb + (kl * tnw) in
+          for wl = 0 to na - 1 do
+            let jl = sorted_min sp sc (c1 + wl) kl in
+            let l1 = sc.adj1.(jl) and l2 = sc.adj2.(jl) in
+            let x1 = keyed sp sc l1 kl in
+            for wr = 0 to nb - 1 do
+              let jr = sorted_min sp sc (c2 + wr) kr in
+              let r1 = sc.adj1.(jr) and r2 = sc.adj2.(jr) in
+              let y1 = keyed sp sc r1 kr in
+              let t = sp.slot_at.(trow + cget sp.cell_wsum (cell0 + (wl * nb) + wr)) in
+              let c = x1 +. y1 +. mgj in
+              if c < !lo then lo := c;
+              keep sc t c k ((l1 * ns) + r1) op;
+              if r2 >= 0 then
+                keep sc t (x1 +. keyed sp sc r2 kr +. mgj) k ((l1 * ns) + r2) op;
+              if l2 >= 0 then
+                keep sc t (keyed sp sc l2 kl +. y1 +. mgj) k ((l2 * ns) + r1) op
+            done
+          done
+        end
+      done
+    end;
+    sc.split_lo.(k) <- !lo
+  done
+
+(* The near-tie replay of slot [t] over split [k] of [mask] (its cells
+   from [cell0]): the alternatives that land in [t], in the memo DP's
+   order.  Per outer slot only one inner class can land there; its slots
+   are walked in ascending id, and an outer slot whose cheapest pairing
+   (with the class minimum) is above the window bound is skipped, as
+   every pairing of it is. *)
+let replay_split sp sc costs mask t k cell0 =
+  let cost = sc.cost and lc = sc.lcost and ns = sp.nslots in
+  let tb = sp.at_base.(mask) and tnw = nw sp mask and wt = sp.slot_wcls.(t) in
+  let bound = sc.settle_f.(0) and unsafe = sc.unsafe in
+  let s1 = cget sp.split_s1 k in
+  let s2 = mask lxor s1 in
+  let nb = nw sp s2 and c2 = sp.cls_first.(s2) in
+  let l0 = sp.slot_first.(s1) and l1 = sp.slot_first.(s1 + 1) - 1 in
+  let cross = cget sp.split_mgj k >= 0 in
+  let hash_in = cross && sp.slot_at.(tb + wt) = t in
+  let bnlj = lc.(cget sp.split_bnlj k) in
+  for l = l0 to l1 do
+    let row = cell0 + (sp.slot_wcls.(l) * nb) in
+    let wr = inner_class sp row nb wt in
+    let bnlj_in = sp.slot_at.(tb + (sp.slot_ord.(l) * tnw) + wt) = t in
+    if wr >= 0 && (hash_in || bnlj_in) then begin
+      let c = c2 + wr in
+      let cl = cost.(l) and resc = sp.slot_resc.(l) and lo = cost.(sc.min1.(c)) in
+      let h = if hash_in then lc.(cget sp.cell_hj (row + wr)) else 0. in
+      let hash_on = hash_in && (unsafe || not (cl +. lo +. h > bound)) in
+      let bnlj_on = bnlj_in && (unsafe || not (cl +. (resc *. lo) +. bnlj > bound)) in
+      if hash_on || bnlj_on then
+        for i = sp.cls_start.(c) to sp.cls_start.(c + 1) - 1 do
+          let r = sp.cls_slot.(i) in
+          if hash_on then
+            offer sp sc costs t (cl +. cost.(r) +. h) k ((l * ns) + r) k_hash;
+          if bnlj_on then
+            offer sp sc costs t (cl +. (resc *. cost.(r)) +. bnlj) k ((l * ns) + r) k_bnlj
+        done
+    end
+  done;
+  if cross then begin
+    let mgj = lc.(cget sp.split_mgj k) in
+    for e = 0 to Array.length sp.e_bl - 1 do
+      let kl = key_left sp e s1 in
+      if crosses sp e s1 s2 && sp.slot_at.(tb + (kl * tnw) + wt) = t then begin
+        let kr = key_right sp e s1 and op = k_merge + (e lsl 3) in
+        for l = l0 to l1 do
+          let wr = inner_class sp (cell0 + (sp.slot_wcls.(l) * nb)) nb wt in
+          if wr >= 0 then begin
+            let cl = keyed sp sc l kl and c = c2 + wr in
+            let lo = keyed sp sc sc.adj1.(sorted_min sp sc c kr) kr in
+            if unsafe || not (cl +. lo +. mgj > bound) then
+              for i = sp.cls_start.(c) to sp.cls_start.(c + 1) - 1 do
+                let r = sp.cls_slot.(i) in
+                offer sp sc costs t (cl +. keyed sp sc r kr +. mgj) k ((l * ns) + r) op
+              done
+          end
+        done
+      end
+    done
+  end
+
+(* The replay of slot [t] over every split of [mask] whose cheapest
+   alternative (from the class pass) lies in the window. *)
+let replay_splits sp sc costs mask t =
+  let cell0 = ref sp.cell_first.(mask) in
+  for k = sp.split_first.(mask) to sp.split_first.(mask + 1) - 1 do
+    let s1 = cget sp.split_s1 k in
+    if sc.unsafe || not (sc.split_lo.(k) > sc.settle_f.(0)) then
+      replay_split sp sc costs mask t k !cell0;
+    cell0 := !cell0 + (nw sp s1 * nw sp (mask lxor s1))
+  done
+
+(* One mask's alternatives: its class-minimum pass ([only < 0]) or the
+   replay of slot [only].  Access paths and index nested loops are few
+   and costed one by one either way. *)
+let pass_mask sp sc costs ~only mask =
+  let cost = sc.cost and lc = sc.lcost in
   if popcount mask = 1 then begin
     let a = popcount (mask - 1) in
     let targets = sp.path_slot.(a) and locs = sp.path_loc.(a) in
@@ -913,63 +1189,8 @@ let pass_mask sp sc costs ~only mask =
     done
   end
   else begin
-    let next_cell = ref sp.cell_first.(mask) in
-    for k = sp.split_first.(mask) to sp.split_first.(mask + 1) - 1 do
-      let s1 = cget sp.split_s1 k in
-      let s2 = mask lxor s1 in
-      let l0 = sp.slot_first.(s1) and l1 = sp.slot_first.(s1 + 1) - 1 in
-      let r0 = sp.slot_first.(s2) and r1 = sp.slot_first.(s2 + 1) - 1 in
-      let nb = sp.nw.(s2) and cell0 = !next_cell in
-      next_cell := cell0 + (sp.nw.(s1) * nb);
-      let cross = cget sp.split_mgj k >= 0 in
-      let bnlj = lc.(cget sp.split_bnlj k) in
-      for l = l0 to l1 do
-        let cl = cost.(l) and resc = sp.slot_resc.(l) in
-        let row = cell0 + (sp.slot_wcls.(l) * nb) in
-        let trow = tb + (sp.slot_ord.(l) * tnw) in
-        for r = r0 to r1 do
-          let cell = row + sp.slot_wcls.(r) in
-          let wc = cget sp.cell_wsum cell and cr = cost.(r) in
-          if cross then
-            consider sp sc costs ~only sp.slot_at.(tb + wc)
-              (cl +. cr +. lc.(cget sp.cell_hj cell))
-              k ((l * ns) + r) k_hash;
-          consider sp sc costs ~only sp.slot_at.(trow + wc)
-            (cl +. (resc *. cr) +. bnlj)
-            k ((l * ns) + r) k_bnlj
-        done
-      done;
-      if cross then begin
-        let mgj = lc.(cget sp.split_mgj k) in
-        for e = 0 to Array.length sp.e_bl - 1 do
-          let bl = sp.e_bl.(e) and br = sp.e_br.(e) in
-          if (bl land s1 <> 0 && br land s2 <> 0) || (bl land s2 <> 0 && br land s1 <> 0)
-          then begin
-            let left_first = bl land s1 <> 0 in
-            let kl = if left_first then sp.e_lord.(e) else sp.e_rord.(e) in
-            let kr = if left_first then sp.e_rord.(e) else sp.e_lord.(e) in
-            let trow = tb + (kl * tnw) in
-            for l = l0 to l1 do
-              let cl =
-                if sp.slot_ord.(l) = kl then cost.(l)
-                else cost.(l) +. lc.(sp.slot_sort.(l))
-              in
-              let row = cell0 + (sp.slot_wcls.(l) * nb) in
-              for r = r0 to r1 do
-                let cr =
-                  if sp.slot_ord.(r) = kr then cost.(r)
-                  else cost.(r) +. lc.(sp.slot_sort.(r))
-                in
-                consider sp sc costs ~only
-                  sp.slot_at.(trow + cget sp.cell_wsum (row + sp.slot_wcls.(r)))
-                  (cl +. cr +. mgj)
-                  k ((l * ns) + r) (k_merge + (e lsl 3))
-              done
-            done
-          end
-        done
-      end
-    done;
+    if only < 0 then class_pass sp sc mask else replay_splits sp sc costs mask only;
+    let tb = sp.at_base.(mask) and tnw = nw sp mask in
     for g = sp.inlj_first.(mask) to sp.inlj_first.(mask + 1) - 1 do
       let x = sp.inljs.(g) in
       let nc = Array.length x.combo_loc in
@@ -1028,6 +1249,11 @@ let recheck sp sc costs ~mask t =
     sc.stamp.(t) <- sc.probe
   end
 
+(* [optimizer.costed] is added once per mask, not per alternative. *)
+let counted sc =
+  Obs.add m_costed sc.costed;
+  sc.costed <- 0
+
 let run sp sc costs =
   sc.probe <- sc.probe + 1;
   local_costs sp sc costs;
@@ -1039,11 +1265,17 @@ let run sp sc costs =
       pass_mask sp sc costs ~only:(-1) mask;
       for t = sp.slot_first.(mask) to sp.slot_first.(mask + 1) - 1 do
         if near_tie sc t then recheck sp sc costs ~mask t
-      done
+      done;
+      (* The mask is settled: its class minima feed the masks above. *)
+      for c = sp.cls_first.(mask) to sp.cls_first.(mask + 1) - 1 do
+        cheapest sp sc ~key:(-1) c sc.min1 sc.min2 c
+      done;
+      counted sc
     end
   done;
   pass_final sp sc costs ~only:(-1);
   if near_tie sc sp.nslots then recheck sp sc costs ~mask:sp.full sp.nslots;
+  counted sc;
   materialize sp sc sp.nslots
 
 let best p ~costs =

@@ -14,9 +14,11 @@
     cost vectors, and only the argmin moves with [C]: the memo slots,
     their alternatives and every operator's local usage do not.  So the
     plan space is {!prepare}d once per (environment, query) and each
-    {!best} call re-costs it in one allocation-free bottom-up pass, then
-    builds the winning plan through the {!Node} constructors.  The
-    result is bit-identical to rebuilding the whole DP at every call.
+    {!best} call re-costs it in one allocation-free bottom-up pass —
+    pairing only each width class's two cheapest inputs, and replaying a
+    near tie's own alternatives exactly — then builds the winning plan
+    through the {!Node} constructors.  The result is bit-identical to
+    rebuilding the whole DP at every call.
 
     The full result (including the usage vector) is the {e white-box}
     interface; {!Narrow} restricts it to what a commercial EXPLAIN
