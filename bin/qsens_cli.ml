@@ -360,8 +360,8 @@ let figure_cmd =
   in
   let doc =
     "Regenerate a full figure (all 22 queries; measured at -j 1 on a \
-     2-CPU machine: Figure 5 about 2 s, Figure 6 about 16 s, Figure 7 \
-     about 7 s)."
+     2-CPU machine: Figure 5 about 0.6 s, Figure 6 about 8 s, Figure 7 \
+     about 3 s)."
   in
   Cmd.v (Cmd.info "figure" ~doc)
     Term.(

@@ -1010,7 +1010,6 @@ let[@inline] crosses sp e s1 s2 =
   let bl = sp.e_bl.(e) and br = sp.e_br.(e) in
   (bl land s1 <> 0 && br land s2 <> 0) || (bl land s2 <> 0 && br land s1 <> 0)
 
-
 (* The right class whose cell in [row] (of [nb] cells) lands in width
    class [wt]; -1 if none.  Right classes have distinct widths, so there
    is at most one. *)
